@@ -35,6 +35,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -111,7 +112,9 @@ ConfigResult run_config(int vehicles, int cores, int ticks,
                         bench::TelemetrySidecar* sidecar,
                         telemetry::Telemetry** telemetry_out) {
   SimClock clock;
-  auto* telemetry = new telemetry::Telemetry(telemetry::TelemetryConfig{});
+  // Declared before the pool: its workers record into the bundle until the
+  // pool's destructor joins them (thread_pool.h, set_telemetry).
+  auto telemetry = std::make_unique<telemetry::Telemetry>(telemetry::TelemetryConfig{});
   telemetry->set_clock(&clock);
 
   core::WorkerPoolConfig wc;
@@ -119,7 +122,7 @@ ConfigResult run_config(int vehicles, int cores, int ticks,
   // Real pool threads capped: the *virtual* core count is the model; the real
   // threads only need enough concurrency to genuinely exercise the batching.
   wc.threads = std::min(cores, 8);
-  core::WorkerPool pool(wc, telemetry);
+  core::WorkerPool pool(wc, telemetry.get());
 
   // Vehicles: each on its own lane of the shared hall, each with its own
   // splitmix64-derived RNG stream and its own real scan of the hall.
@@ -266,9 +269,7 @@ ConfigResult run_config(int vehicles, int cores, int ticks,
       "v" + std::to_string(vehicles) + "_c" + std::to_string(cores);
   if (sidecar != nullptr) sidecar->add(label, telemetry->metrics().snapshot());
   if (telemetry_out != nullptr) {
-    *telemetry_out = telemetry;  // caller owns (critical-path extraction)
-  } else {
-    delete telemetry;
+    *telemetry_out = telemetry.release();  // caller owns (critical-path extraction)
   }
   return r;
 }

@@ -44,9 +44,12 @@ class Rng {
     return std::uniform_int_distribution<int>(lo, hi)(engine_);
   }
 
-  /// Gaussian with the given mean and standard deviation.
+  /// Gaussian with the given mean and standard deviation (>= 0; 0 returns
+  /// `mean`). Draws a standard normal and scales it, because
+  /// std::normal_distribution requires a positive deviation; every call
+  /// consumes the same engine values whatever the deviation.
   double gaussian(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return mean + stddev * std::normal_distribution<double>()(engine_);
   }
 
   /// Bernoulli trial with probability p of returning true.

@@ -1,9 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <memory>
 
 #include "common/telemetry/telemetry.h"
 
@@ -19,16 +17,24 @@ double elapsed_us(std::chrono::steady_clock::time_point from,
 // lose a condvar wakeup outright (bug 25847, "pthread_cond_signal failed to
 // wake up pthread_cond_wait due to a bug in undoing stealing"): after heavy
 // notify_one churn a later notify_all may leave one waiter asleep. During a
-// mission a lost wake self-heals — workers re-check the queue after every
-// task — but the destructor's notify_all is the last signal ever sent, and a
-// worker that misses it sleeps forever while join() blocks. The periodic
-// predicate re-check turns that into a bounded delay instead of a deadlock.
+// mission a lost wake self-heals — the caller and the workers re-check their
+// predicates every slice — but the destructor's notify_all is the last signal
+// ever sent, and a worker that misses it sleeps forever while join() blocks.
+// The periodic predicate re-check turns that into a bounded delay instead of
+// a deadlock.
 constexpr std::chrono::milliseconds kWaitSlice{100};
 
 // Wall-clock microsecond buckets: 1 µs .. 100 ms.
 std::vector<double> us_bounds() {
   return {1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
           1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5};
+}
+
+// Unit `unit` of a region (see ThreadPool::Region).
+ChunkRange unit_range(size_t count, size_t units, size_t grain, size_t unit) {
+  if (grain == 0) return chunk_range(count, units, unit);
+  const size_t begin = unit * grain;
+  return {begin, std::min(begin + grain, count)};
 }
 }  // namespace
 
@@ -42,7 +48,6 @@ ChunkRange chunk_range(size_t count, size_t chunks, size_t chunk) {
 }
 
 ThreadPool::ThreadPool(size_t num_threads) {
-  sessions_[0];  // default session always exists
   const size_t n = std::max<size_t>(1, num_threads);
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -59,31 +64,17 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::refresh_session_telemetry_locked(uint32_t id, SessionQueue& s) {
-  if (telemetry_ == nullptr) {
-    s.wait_us = nullptr;
-    return;
-  }
-  const std::string label = s.label.empty() ? std::to_string(id) : s.label;
-  s.wait_us = &telemetry_->metrics().histogram(
-      "pool_task_wait_us", {{"pool", pool_name_}, {"session", label}}, us_bounds());
-}
-
 void ThreadPool::set_telemetry(telemetry::Telemetry* telemetry,
                                const std::string& pool_name) {
   const std::scoped_lock lock(mutex_);
   if (telemetry == nullptr || !telemetry->enabled()) {
-    telemetry_ = nullptr;
     tasks_total_ = nullptr;
     busy_us_total_ = nullptr;
     queue_depth_ = nullptr;
     task_wait_us_ = nullptr;
     task_run_us_ = nullptr;
-    for (auto& [id, s] : sessions_) s.wait_us = nullptr;
     return;
   }
-  telemetry_ = telemetry;
-  pool_name_ = pool_name;
   const telemetry::Labels labels = {{"pool", pool_name}};
   auto& m = telemetry->metrics();
   tasks_total_ = &m.counter("pool_tasks_total", labels);
@@ -91,221 +82,84 @@ void ThreadPool::set_telemetry(telemetry::Telemetry* telemetry,
   queue_depth_ = &m.gauge("pool_queue_depth", labels);
   task_wait_us_ = &m.histogram("pool_task_wait_us", labels, us_bounds());
   task_run_us_ = &m.histogram("pool_task_run_us", labels, us_bounds());
-  // Sessions registered before the telemetry was attached get their
-  // per-session wait series now. Session 0 keeps only the pool-level series
-  // (its label would be noise for single-tenant pools).
-  for (auto& [id, s] : sessions_) {
-    if (id != 0) refresh_session_telemetry_locked(id, s);
-  }
 }
 
-ThreadPool::SessionQueue& ThreadPool::session_locked(uint32_t session) {
-  auto [it, inserted] = sessions_.try_emplace(session);
-  if (inserted && session != 0) refresh_session_telemetry_locked(session, it->second);
-  return it->second;
+void ThreadPool::parallel_chunks(size_t count, size_t chunks, const RangeFn& fn) {
+  if (count == 0) return;
+  run_region({&fn, count, std::clamp<size_t>(chunks, 1, count), 0, {}});
 }
 
-void ThreadPool::register_session(uint32_t session, uint64_t weight,
-                                  const std::string& label, size_t max_queue) {
-  const std::scoped_lock lock(mutex_);
-  SessionQueue& s = session_locked(session);
-  s.weight = std::max<uint64_t>(1, weight);
-  s.label = label;
-  s.max_queue = max_queue;
-  if (session != 0) refresh_session_telemetry_locked(session, s);
+void ThreadPool::parallel_dynamic(size_t count, size_t grain, const RangeFn& fn) {
+  if (count == 0) return;
+  grain = std::max<size_t>(1, grain);
+  run_region({&fn, count, (count + grain - 1) / grain, grain, {}});
 }
 
-size_t ThreadPool::session_queue_depth(uint32_t session) const {
-  const std::scoped_lock lock(mutex_);
-  const auto it = sessions_.find(session);
-  return it == sessions_.end() ? 0 : it->second.queue.size();
-}
-
-void ThreadPool::enqueue_locked(uint32_t id, SessionQueue& s,
-                                std::function<void()>&& task) {
-  if (s.queue.empty()) {
-    // A session going from idle to active re-enters the stride schedule at
-    // the current virtual clock: it competes fairly from *now* instead of
-    // replaying the share it didn't use while idle (which would let a
-    // long-idle session monopolize the pool on return).
-    s.vtime = std::max(s.vtime, vclock_);
-    ready_.push_back(id);
-  }
-  s.queue.push_back({std::move(task), std::chrono::steady_clock::now()});
-  ++queued_;
-  ++in_flight_;
-  if (queue_depth_ != nullptr) queue_depth_->set(static_cast<double>(queued_));
-}
-
-void ThreadPool::submit(std::function<void()> task) { submit(0, std::move(task)); }
-
-void ThreadPool::submit(uint32_t session, std::function<void()> task) {
-  {
-    const std::scoped_lock lock(mutex_);
-    enqueue_locked(session, session_locked(session), std::move(task));
-  }
-  task_ready_.notify_one();
-}
-
-bool ThreadPool::try_submit(uint32_t session, std::function<void()> task) {
-  {
-    const std::scoped_lock lock(mutex_);
-    SessionQueue& s = session_locked(session);
-    if (s.max_queue != 0 && s.queue.size() >= s.max_queue) return false;
-    enqueue_locked(session, s, std::move(task));
-  }
-  task_ready_.notify_one();
-  return true;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  while (!all_done_.wait_for(lock, kWaitSlice, [this] { return in_flight_ == 0; })) {
-  }
-}
-
-ThreadPool::SessionQueue* ThreadPool::pick_locked() {
-  // Stride dispatch: the ready session with the smallest virtual time runs
-  // next; ties break toward the lowest id so the order is deterministic.
-  // Linear scan of ready_ — the active-tenant count is small (≤ vehicles).
-  if (ready_.empty()) return nullptr;
-  size_t best = 0;
-  for (size_t i = 1; i < ready_.size(); ++i) {
-    const SessionQueue& a = sessions_.find(ready_[i])->second;
-    const SessionQueue& b = sessions_.find(ready_[best])->second;
-    if (a.vtime < b.vtime || (a.vtime == b.vtime && ready_[i] < ready_[best])) {
-      best = i;
+void ThreadPool::run_region(const Region& region) {
+  const size_t tasks = std::min(num_threads(), region.units);
+  if (tasks <= 1) {
+    for (size_t u = 0; u < region.units; ++u) {
+      const ChunkRange r = unit_range(region.count, region.units, region.grain, u);
+      (*region.fn)(r.begin, r.end);
     }
+    return;
   }
-  const uint32_t id = ready_[best];
-  SessionQueue* s = &sessions_.find(id)->second;
-  vclock_ = s->vtime;
-  // Unit task cost: fairness is by task count, which keeps the schedule
-  // deterministic (run times are only known after the fact).
-  s->vtime += 1.0 / static_cast<double>(s->weight);
-  if (s->queue.size() == 1) {
-    ready_[best] = ready_.back();
-    ready_.pop_back();
+  const std::scoped_lock one_region(region_mutex_);
+  {
+    const std::scoped_lock lock(mutex_);
+    region_ = region;
+    region_.posted = std::chrono::steady_clock::now();
+    next_unit_.store(0, std::memory_order_relaxed);
+    seats_ = tasks;
+    if (queue_depth_ != nullptr) queue_depth_->set(static_cast<double>(seats_));
   }
-  return s;
+  for (size_t t = 0; t < tasks; ++t) task_ready_.notify_one();
+  // Both counters are pool members changed under mutex_: once they read zero
+  // every task has left fn and will not touch the region again.
+  std::unique_lock lock(mutex_);
+  while (!region_done_.wait_for(lock, kWaitSlice,
+                                [this] { return seats_ == 0 && running_ == 0; })) {
+  }
 }
 
 void ThreadPool::worker_loop() {
   while (true) {
-    QueuedTask task;
+    Region region;
     // Handles read under the lock; they are stable for the pool's lifetime.
     telemetry::Counter* tasks_total = nullptr;
     telemetry::Counter* busy_us_total = nullptr;
     telemetry::Histogram* task_wait_us = nullptr;
     telemetry::Histogram* task_run_us = nullptr;
-    telemetry::Histogram* session_wait_us = nullptr;
     {
       std::unique_lock lock(mutex_);
       while (!task_ready_.wait_for(lock, kWaitSlice,
-                                   [this] { return stopping_ || queued_ > 0; })) {
+                                   [this] { return stopping_ || seats_ > 0; })) {
       }
-      SessionQueue* s = pick_locked();
-      if (s == nullptr) return;  // stopping_ and drained
-      task = std::move(s->queue.front());
-      s->queue.pop_front();
-      --queued_;
+      if (seats_ == 0) return;  // stopping_, and no region is posted
+      --seats_;
+      ++running_;
+      region = region_;
       tasks_total = tasks_total_;
       busy_us_total = busy_us_total_;
       task_wait_us = task_wait_us_;
       task_run_us = task_run_us_;
-      session_wait_us = s->wait_us;
-      if (queue_depth_ != nullptr) queue_depth_->set(static_cast<double>(queued_));
+      if (queue_depth_ != nullptr) queue_depth_->set(static_cast<double>(seats_));
     }
     const auto start = std::chrono::steady_clock::now();
-    task.fn();
+    size_t u;
+    while ((u = next_unit_.fetch_add(1, std::memory_order_relaxed)) < region.units) {
+      const ChunkRange r = unit_range(region.count, region.units, region.grain, u);
+      (*region.fn)(r.begin, r.end);
+    }
     if (tasks_total != nullptr) {
-      const auto end = std::chrono::steady_clock::now();
-      const double run_us = elapsed_us(start, end);
-      const double wait_us = elapsed_us(task.enqueued, start);
+      const double run_us = elapsed_us(start, std::chrono::steady_clock::now());
       tasks_total->inc();
       busy_us_total->inc(static_cast<uint64_t>(run_us));
-      task_wait_us->observe(wait_us);
+      task_wait_us->observe(elapsed_us(region.posted, start));
       task_run_us->observe(run_us);
-      if (session_wait_us != nullptr) session_wait_us->observe(wait_us);
     }
-    {
-      const std::scoped_lock lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
-  }
-}
-
-void ThreadPool::parallel_chunks(size_t count, size_t chunks,
-                                 const std::function<void(size_t, size_t)>& fn) {
-  parallel_chunks(0, count, chunks, fn);
-}
-
-void ThreadPool::parallel_chunks(uint32_t session, size_t count, size_t chunks,
-                                 const std::function<void(size_t, size_t)>& fn) {
-  if (count == 0) return;
-  chunks = std::max<size_t>(1, std::min(chunks, count));
-  if (chunks == 1) {
-    fn(0, count);
-    return;
-  }
-  std::atomic<size_t> remaining{chunks};
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  for (size_t c = 0; c < chunks; ++c) {
-    const ChunkRange r = chunk_range(count, chunks, c);
-    submit(session, [&, r] {
-      fn(r.begin, r.end);
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        const std::scoped_lock lock(done_mutex);
-        done_cv.notify_all();
-      }
-    });
-  }
-  std::unique_lock lock(done_mutex);
-  while (!done_cv.wait_for(lock, kWaitSlice, [&] {
-    return remaining.load(std::memory_order_acquire) == 0;
-  })) {
-  }
-}
-
-void ThreadPool::parallel_dynamic(size_t count, size_t grain,
-                                  const std::function<void(size_t, size_t)>& fn) {
-  parallel_dynamic(0, count, grain, fn);
-}
-
-void ThreadPool::parallel_dynamic(uint32_t session, size_t count, size_t grain,
-                                  const std::function<void(size_t, size_t)>& fn) {
-  if (count == 0) return;
-  grain = std::max<size_t>(1, grain);
-  const size_t n_grains = (count + grain - 1) / grain;
-  const size_t n_tasks = std::min(num_threads(), n_grains);
-  if (n_tasks <= 1) {
-    fn(0, count);
-    return;
-  }
-  // Shared grab counter: each worker task loops, claiming the next grain
-  // until the counter passes count. The tail grain is short.
-  auto next = std::make_shared<std::atomic<size_t>>(0);
-  std::atomic<size_t> remaining{n_tasks};
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  for (size_t t = 0; t < n_tasks; ++t) {
-    submit(session, [&, next, grain, count] {
-      size_t begin;
-      while ((begin = next->fetch_add(grain, std::memory_order_relaxed)) < count) {
-        fn(begin, std::min(begin + grain, count));
-      }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        const std::scoped_lock lock(done_mutex);
-        done_cv.notify_all();
-      }
-    });
-  }
-  std::unique_lock lock(done_mutex);
-  while (!done_cv.wait_for(lock, kWaitSlice, [&] {
-    return remaining.load(std::memory_order_acquire) == 0;
-  })) {
+    const std::scoped_lock lock(mutex_);
+    if (--running_ == 0 && seats_ == 0) region_done_.notify_all();
   }
 }
 

@@ -1,15 +1,13 @@
-// Fixed-size worker pool used by the cloud-acceleration kernels (parallel
-// scanMatch, Fig. 6; parallel scoreTrajectory, Fig. 5). The pool mirrors the
-// paper's design: a main thread partitions M work items into N chunks and
-// blocks until all chunks complete.
+// Fixed-size fork-join worker pool used by the cloud-acceleration kernels
+// (parallel scanMatch, Fig. 6; parallel scoreTrajectory, Fig. 5). The pool
+// mirrors the paper's design: a main thread partitions M work items into N
+// chunks and blocks until all chunks complete.
 //
-// Multi-tenancy: tasks are queued per *session* (one session per vehicle in
-// the fleet-serving worker; session 0 is the default for single-tenant
-// callers) and dispatched by stride scheduling over per-session virtual
-// time, so one chatty session cannot starve the rest — a session that
-// submits 300 tasks and a session that submits 3 interleave in proportion to
-// their weights, not in FIFO arrival order. With only session 0 in play the
-// pool degenerates to the original single FIFO queue.
+// Every call is one *region*: the caller posts it, workers run its tasks and
+// the caller blocks until the last task has finished. The pool owns all of a
+// region's completion state, so no worker touches the caller's stack once
+// the caller can return. Regions posted from different threads run one at a
+// time; a region's fn must not post a region on the same pool.
 //
 // Concurrency hygiene follows the C++ Core Guidelines: RAII locks only
 // (CP.20), condition waits always have a predicate (CP.42), threads are
@@ -19,13 +17,11 @@
 // degrades to a bounded delay instead of a shutdown deadlock.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -42,6 +38,8 @@ class Telemetry;
 
 class ThreadPool {
  public:
+  using RangeFn = std::function<void(size_t begin, size_t end)>;
+
   /// Spawns `num_threads` workers (at least 1).
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
@@ -51,48 +49,21 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueue a task for asynchronous execution on the default session (0).
-  void submit(std::function<void()> task);
-
-  /// Enqueue a task under `session`. Unregistered sessions are materialized
-  /// on first use with weight 1 (so ad-hoc ids just work); register_session
-  /// sets weight/label/bounds explicitly.
-  void submit(uint32_t session, std::function<void()> task);
-
-  /// Bounded enqueue: false (task not queued) when the session was registered
-  /// with `max_queue` > 0 and already has that many tasks waiting. The
-  /// backpressure primitive for the fleet worker — a flooding session is
-  /// bounced here instead of growing an unbounded queue.
-  bool try_submit(uint32_t session, std::function<void()> task);
-
-  /// Declare a scheduling session: `weight` is its stride-share (a weight-2
-  /// session drains twice as fast as a weight-1 session under contention),
-  /// `label` names the per-session `pool_task_wait_us{session=...}` histogram
-  /// (defaults to the numeric id), `max_queue` bounds try_submit (0 = no
-  /// bound). Re-registering updates weight/label/bound in place.
-  void register_session(uint32_t session, uint64_t weight,
-                        const std::string& label = "", size_t max_queue = 0);
-
-  /// Tasks currently waiting in `session`'s queue (not yet dispatched).
-  size_t session_queue_depth(uint32_t session) const;
-
   /// Wire the pool's hot-path metrics into `telemetry` (nullptr disconnects):
   /// `pool_tasks_total`, `pool_queue_depth`, `pool_task_wait_us` /
   /// `pool_task_run_us` histograms and `pool_busy_us_total`, all labeled
-  /// {pool=`pool_name`}; registered sessions additionally get
-  /// `pool_task_wait_us{pool=..., session=<label>}`. Times are host
+  /// {pool=`pool_name`}. A task is one worker's share of a region; its wait
+  /// runs from the region's post to the task's start. Times are host
   /// wall-clock — the pool runs real threads; virtual time never advances
   /// inside a task. Worker utilization over an interval is
   /// busy_us / (interval · num_threads).
   ///
-  /// Lifetime: `telemetry` must outlive the pool (workers record after each
-  /// task, including after parallel_chunks() has released its caller) —
-  /// destroy the pool, which joins them, before the bundle.
+  /// Lifetime: `telemetry` must outlive the pool (or be disconnected first):
+  /// declare the bundle before the pool. A worker records a task's metrics
+  /// before the task counts as finished, so nothing is written into the
+  /// bundle after a region returns.
   void set_telemetry(telemetry::Telemetry* telemetry,
                      const std::string& pool_name = "remote_pool");
-
-  /// Block until every submitted task has finished executing.
-  void wait_idle();
 
   /// Run fn(i) for i in [0, count) across the pool, blocking until done.
   /// Work is partitioned into contiguous chunks, one per worker, matching the
@@ -106,76 +77,59 @@ class ThreadPool {
     });
   }
 
-  /// Chunked variant: fn(begin, end) once per chunk. `chunks` defaults to the
-  /// worker count. Exposed so callers can meter per-chunk work.
-  void parallel_chunks(size_t count, size_t chunks,
-                       const std::function<void(size_t begin, size_t end)>& fn);
-
-  /// Session-attributed form: the chunk tasks queue under `session`, so a
-  /// vehicle's kernel chunks contend fair-share against other tenants.
-  void parallel_chunks(uint32_t session, size_t count, size_t chunks,
-                       const std::function<void(size_t begin, size_t end)>& fn);
+  /// Chunked variant: fn(begin, end) once per chunk of
+  /// chunk_range(count, chunks, ·). Exposed so callers can meter per-chunk
+  /// work. The chunk boundaries depend only on `count` and `chunks`.
+  void parallel_chunks(size_t count, size_t chunks, const RangeFn& fn);
 
   /// Dynamic-scheduling variant: min(workers, ceil(count/grain)) tasks each
-  /// grab the next `grain`-sized range of [0, count) off a shared atomic
-  /// counter until none remain, then block until every range ran. Unlike the
-  /// static partition above, a worker that drew cheap items (e.g. trajectory
+  /// grab the next `grain`-sized range of [0, count) off a shared counter
+  /// until none remain, then the caller is released. Unlike the static
+  /// partition above, a worker that drew cheap items (e.g. trajectory
   /// candidates that early-exit on collision) immediately takes more work
   /// instead of idling, so the region finishes when the *work* runs out, not
   /// when the unluckiest pre-assigned chunk does. fn(begin, end) may run
-  /// concurrently with itself on disjoint ranges; ranges are contiguous,
-  /// disjoint, and cover [0, count) exactly once.
-  void parallel_dynamic(size_t count, size_t grain,
-                        const std::function<void(size_t begin, size_t end)>& fn);
-
-  /// Session-attributed form of parallel_dynamic (see parallel_chunks).
-  void parallel_dynamic(uint32_t session, size_t count, size_t grain,
-                        const std::function<void(size_t begin, size_t end)>& fn);
+  /// concurrently with itself on disjoint ranges. Every call covers exactly
+  /// one grain [k·grain, min((k+1)·grain, count)), at any worker count —
+  /// a one-thread pool walks the grains in order.
+  void parallel_dynamic(size_t count, size_t grain, const RangeFn& fn);
 
  private:
-  struct QueuedTask {
-    std::function<void()> fn;
-    std::chrono::steady_clock::time_point enqueued;
+  /// One fork-join region: `units` work units over [0, count). grain == 0
+  /// means unit u is chunk_range(count, units, u); otherwise unit u is the
+  /// u-th `grain`-sized range.
+  struct Region {
+    const RangeFn* fn = nullptr;
+    size_t count = 0;
+    size_t units = 0;
+    size_t grain = 0;
+    std::chrono::steady_clock::time_point posted;
   };
 
-  /// One tenant's queue + stride-scheduler state. Session structs are never
-  /// erased (ids are few — one per vehicle — and the structs are small), so
-  /// worker threads can cache pointers across unlocks.
-  struct SessionQueue {
-    std::deque<QueuedTask> queue;
-    uint64_t weight = 1;
-    double vtime = 0.0;    ///< virtual finish time; next dispatch picks min
-    size_t max_queue = 0;  ///< try_submit bound (0 = unbounded)
-    std::string label;
-    telemetry::Histogram* wait_us = nullptr;
-  };
-
+  /// Run every unit of `region` on min(workers, units) tasks and block until
+  /// all of them finished. With one task the caller runs the units itself.
+  void run_region(const Region& region);
   void worker_loop();
-  // All of these require mutex_ held.
-  SessionQueue& session_locked(uint32_t session);
-  void enqueue_locked(uint32_t id, SessionQueue& s, std::function<void()>&& task);
-  SessionQueue* pick_locked();
-  void refresh_session_telemetry_locked(uint32_t id, SessionQueue& s);
 
-  std::vector<std::thread> workers_;
-  std::map<uint32_t, SessionQueue> sessions_;
-  std::vector<uint32_t> ready_;  ///< ids with non-empty queues (unsorted)
-  size_t queued_ = 0;            ///< total tasks waiting across sessions
-  double vclock_ = 0.0;          ///< vtime of the last dispatch (stride floor)
-  mutable std::mutex mutex_;
+  std::mutex region_mutex_;  ///< held by the caller for a whole region
+
+  std::mutex mutex_;  ///< guards everything below except next_unit_
   std::condition_variable task_ready_;
-  std::condition_variable all_done_;
-  size_t in_flight_ = 0;
+  std::condition_variable region_done_;
+  Region region_;           ///< the posted region
+  size_t seats_ = 0;        ///< tasks of region_ no worker has started yet
+  size_t running_ = 0;      ///< tasks of region_ started and not finished
   bool stopping_ = false;
+  std::atomic<size_t> next_unit_{0};  ///< next unit of region_ to claim
 
   // Telemetry handles (cached once in set_telemetry; null when disabled).
-  telemetry::Telemetry* telemetry_ = nullptr;
-  std::string pool_name_;
   telemetry::Counter* tasks_total_ = nullptr;
   telemetry::Counter* busy_us_total_ = nullptr;
   telemetry::Gauge* queue_depth_ = nullptr;
   telemetry::Histogram* task_wait_us_ = nullptr;
   telemetry::Histogram* task_run_us_ = nullptr;
+
+  std::vector<std::thread> workers_;  ///< last: the threads use every member above
 };
 
 /// Compute the contiguous [begin, end) range of chunk `chunk` out of `chunks`

@@ -331,13 +331,12 @@ platform::ExecutionContext OffloadRuntime::make_context(NodeId id) {
   if (host != platform::Host::kLgv && parallel_kernels && active_threads_ > 1) {
     if (worker_pool_ != nullptr) {
       // Shared fleet worker: the kernel's chunks run on the serving pool's
-      // real threads under this vehicle's session, fair-sharing against the
-      // other tenants. Not admitted right now (busy, backoff window, breaker
-      // open, failover snapshot in flight) → serial context; finish_guarded
-      // will count the busy fallback.
+      // real threads; WorkerPool::schedule fair-shares the modeled time. Not
+      // admitted right now (busy, backoff window, breaker open, failover
+      // snapshot in flight) → serial context; finish_guarded will count the
+      // busy fallback.
       if (ensure_worker_session(clock_.now())) {
-        return platform::ExecutionContext(&active_pool_->threads(), active_threads_,
-                                          worker_session_);
+        return platform::ExecutionContext(&active_pool_->threads(), active_threads_);
       }
       return platform::ExecutionContext(nullptr, 1);
     }

@@ -274,8 +274,8 @@ class OffloadRuntime {
 
   DeploymentPlan plan_;
   /// Declared before remote_pool_ so the pool's destructor (which joins the
-  /// workers) runs first: a worker released from parallel_chunks() may still
-  /// be recording its post-task metrics into this bundle.
+  /// workers) runs first: the pool's workers record into this bundle
+  /// (thread_pool.h, set_telemetry).
   std::unique_ptr<telemetry::Telemetry> telemetry_;
   SimClock clock_;
   mw::Graph graph_;

@@ -70,9 +70,6 @@ Admission WorkerPool::open_session(const std::string& vehicle, double now,
   s.weight = static_cast<uint64_t>(
       std::max(1, weight > 0 ? weight : config_.default_weight));
   s.lease_expiry = now + config_.session_lease_s;
-  // Mirror the session onto the real pool so this vehicle's kernel chunks
-  // fair-share against the other tenants' (ExecutionContext attribution).
-  pool_.register_session(id, s.weight, s.label);
   if (sessions_gauge_ != nullptr) {
     sessions_gauge_->set(static_cast<double>(sessions_.size()));
   }

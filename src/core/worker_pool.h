@@ -103,8 +103,7 @@ class WorkerPool {
                       telemetry::Telemetry* telemetry = nullptr);
 
   const WorkerPoolConfig& config() const { return config_; }
-  /// The real thread pool (for ExecutionContext attachment). Sessions opened
-  /// here are registered on it, so kernel chunks fair-share per vehicle.
+  /// The real thread pool (for ExecutionContext attachment).
   ThreadPool& threads() { return pool_; }
 
   // ---- session table -------------------------------------------------------

@@ -35,15 +35,10 @@ enum class Schedule {
 class ExecutionContext {
  public:
   ExecutionContext() = default;
-  /// `session` attributes this kernel's pool tasks to a scheduling session
-  /// (fleet serving: one session per vehicle; 0 = default single-tenant
-  /// queue) so multi-tenant pools fair-share the chunks across vehicles.
-  ExecutionContext(ThreadPool* pool, int threads, uint32_t session = 0)
-      : pool_(pool), threads_(threads), session_(session) {}
+  ExecutionContext(ThreadPool* pool, int threads) : pool_(pool), threads_(threads) {}
 
   int threads() const { return threads_; }
   ThreadPool* pool() const { return pool_; }
-  uint32_t session() const { return session_; }
 
   /// Record `cycles` of sequential work (already performed by the caller).
   void serial_work(double cycles) { profile_.add_serial(cycles); }
@@ -83,7 +78,6 @@ class ExecutionContext {
  private:
   ThreadPool* pool_ = nullptr;
   int threads_ = 1;
-  uint32_t session_ = 0;
   WorkProfile profile_;
 };
 

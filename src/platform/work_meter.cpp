@@ -33,7 +33,7 @@ void ExecutionContext::parallel_kernel_blocks(
       grain_cycles[begin / kDynamicGrain] = fn(begin, end);
     };
     if (pool_ != nullptr && threads_ > 1 && n_grains > 1) {
-      pool_->parallel_dynamic(session_, count, kDynamicGrain, run_range);
+      pool_->parallel_dynamic(count, kDynamicGrain, run_range);
     } else {
       for (size_t g = 0; g < n_grains; ++g) {
         run_range(g * kDynamicGrain, std::min(count, (g + 1) * kDynamicGrain));
@@ -76,10 +76,9 @@ void ExecutionContext::parallel_kernel_blocks(
   };
 
   if (pool_ != nullptr && chunks > 1) {
-    pool_->parallel_chunks(session_, chunks, chunks,
-                           [&](size_t begin, size_t end) {
-                             for (size_t c = begin; c < end; ++c) run_chunk(c);
-                           });
+    pool_->parallel_chunks(chunks, chunks, [&](size_t begin, size_t end) {
+      for (size_t c = begin; c < end; ++c) run_chunk(c);
+    });
   } else {
     for (size_t c = 0; c < chunks; ++c) run_chunk(c);
   }

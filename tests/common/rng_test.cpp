@@ -109,6 +109,14 @@ TEST(Rng, GaussianMoments) {
   EXPECT_NEAR(var, 9.0, 0.5);
 }
 
+TEST(Rng, GaussianZeroDeviationReturnsMeanAndConsumesLikeUnitDeviation) {
+  // GMapping's first scan has no motion, so its noise deviation is 0.
+  Rng zero(17), unit(17);
+  EXPECT_EQ(zero.gaussian(2.5, 0.0), 2.5);
+  unit.gaussian(2.5, 1.0);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(zero.uniform(0.0, 1.0), unit.uniform(0.0, 1.0));
+}
+
 TEST(Rng, BernoulliExtremes) {
   Rng r(13);
   for (int i = 0; i < 100; ++i) {

@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "common/telemetry/telemetry.h"
@@ -64,14 +62,25 @@ TEST(ChunkRange, ZeroItems) {
 }
 
 TEST(ThreadPool, RunsSubmittedTasks) {
+  // A region becomes min(workers, chunks) tasks, each one worker's share;
+  // the pool-level series count and time exactly those.
+  telemetry::Telemetry telemetry;
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4u);
+  pool.set_telemetry(&telemetry, "test_pool");
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
+  for (int round = 0; round < 25; ++round) {
+    pool.parallel_chunks(4, 4, [&counter](size_t begin, size_t end) {
+      counter.fetch_add(static_cast<int>(end - begin));
+    });
   }
-  pool.wait_idle();
   EXPECT_EQ(counter.load(), 100);
+  const telemetry::Labels labels = {{"pool", "test_pool"}};
+  auto& m = telemetry.metrics();
+  EXPECT_EQ(m.counter("pool_tasks_total", labels).value(), 100u);
+  EXPECT_EQ(m.histogram("pool_task_wait_us", labels).count(), 100u);
+  EXPECT_EQ(m.histogram("pool_task_run_us", labels).count(), 100u);
+  EXPECT_DOUBLE_EQ(m.gauge("pool_queue_depth", labels).value(), 0.0);
 }
 
 TEST(ThreadPool, AtLeastOneThread) {
@@ -124,14 +133,18 @@ TEST(ThreadPool, ParallelDynamicVisitsEveryIndexOnce) {
 }
 
 TEST(ThreadPool, ParallelDynamicRangesRespectGrain) {
-  ThreadPool pool(3);
-  std::atomic<int> calls{0};
-  pool.parallel_dynamic(10, 4, [&](size_t begin, size_t end) {
-    EXPECT_EQ(begin % 4, 0u);
-    EXPECT_LE(end - begin, 4u);
-    calls.fetch_add(1);
-  });
-  EXPECT_EQ(calls.load(), 3);  // [0,4) [4,8) [8,10)
+  // Grain boundaries do not depend on the worker count: a one-thread pool
+  // walks the same three grains.
+  for (size_t threads : {1u, 3u}) {
+    ThreadPool pool(threads);
+    std::atomic<int> calls{0};
+    pool.parallel_dynamic(10, 4, [&](size_t begin, size_t end) {
+      EXPECT_EQ(begin % 4, 0u);
+      EXPECT_LE(end - begin, 4u);
+      calls.fetch_add(1);
+    });
+    EXPECT_EQ(calls.load(), 3) << threads;  // [0,4) [4,8) [8,10)
+  }
 }
 
 TEST(ThreadPool, ParallelDynamicGrainLargerThanCount) {
@@ -159,126 +172,38 @@ TEST(ThreadPool, ReentrantUseAfterWait) {
   }
 }
 
-// Block a 1-thread pool's worker, enqueue a known task mix under several
-// sessions, release, and record execution order — with one worker the stride
-// scheduler's dispatch order IS the execution order, deterministically.
-std::vector<char> run_interleave(
-    const std::vector<std::pair<uint32_t, int>>& sessions_and_counts,
-    const std::vector<std::pair<uint32_t, uint64_t>>& weights,
-    const std::vector<char>& names) {
-  ThreadPool pool(1);
-  for (const auto& [id, w] : weights) pool.register_session(id, w);
-  std::atomic<bool> release{false};
-  pool.submit([&release] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  std::vector<char> order;  // worker-only writes; read after wait_idle
-  for (size_t s = 0; s < sessions_and_counts.size(); ++s) {
-    const auto [id, count] = sessions_and_counts[s];
-    const char name = names[s];
-    for (int i = 0; i < count; ++i) {
-      pool.submit(id, [&order, name] { order.push_back(name); });
+TEST(ThreadPool, BackToBackTinyRegionsNeverOutliveTheirCaller) {
+  // Completion-race guard: a region must not signal through anything on its
+  // caller's stack, because the caller may already have returned and reused
+  // that stack for the next region. Tiny back-to-back regions make that
+  // window as wide as it gets; TSan reports a worker that touches it.
+  ThreadPool pool(4);
+  for (size_t i = 0; i < 12000; ++i) {
+    const size_t count = 2 + i % 7;  // 2..8 items
+    std::atomic<size_t> items{0};    // the same stack slot every iteration
+    const auto add = [&items](size_t begin, size_t end) { items.fetch_add(end - begin); };
+    if (i % 2 == 0) {
+      pool.parallel_chunks(count, 2 + i % 3, add);  // 2..4 tasks
+    } else {
+      pool.parallel_dynamic(count, 2, add);  // 1..4 grains
     }
+    ASSERT_EQ(items.load(), count) << "region " << i;
   }
-  release.store(true);
-  pool.wait_idle();
-  return order;
-}
-
-TEST(ThreadPool, StrideInterleavesSessionsNotFifo) {
-  // 6 A-tasks queued entirely before 3 B-tasks. FIFO would run AAAAAABBB;
-  // stride with equal weights alternates until B drains.
-  const auto order = run_interleave({{1, 6}, {2, 3}}, {{1, 1}, {2, 1}}, {'A', 'B'});
-  EXPECT_EQ(std::string(order.begin(), order.end()), "ABABABAAA");
-}
-
-TEST(ThreadPool, WeightedSessionDrainsProportionallyFaster) {
-  // Equal task counts; B at weight 2 takes two slots for each of A's.
-  const auto order = run_interleave({{1, 4}, {2, 4}}, {{1, 1}, {2, 2}}, {'A', 'B'});
-  EXPECT_EQ(std::string(order.begin(), order.end()), "ABBABBAA");
-}
-
-TEST(ThreadPool, SingleSessionDegeneratesToFifo) {
-  ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  pool.submit([&release] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    pool.submit([&order, i] { order.push_back(i); });
-  }
-  release.store(true);
-  pool.wait_idle();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, TrySubmitBouncesAtRegisteredBound) {
-  ThreadPool pool(1);
-  pool.register_session(7, /*weight=*/1, "bounded", /*max_queue=*/2);
-  std::atomic<bool> release{false};
-  pool.submit([&release] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  std::atomic<int> ran{0};
-  EXPECT_TRUE(pool.try_submit(7, [&ran] { ran.fetch_add(1); }));
-  EXPECT_TRUE(pool.try_submit(7, [&ran] { ran.fetch_add(1); }));
-  EXPECT_FALSE(pool.try_submit(7, [&ran] { ran.fetch_add(1); }));  // bounced
-  EXPECT_EQ(pool.session_queue_depth(7), 2u);
-  release.store(true);
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(ThreadPool, FloodingSessionDoesNotStarveSparseOne) {
-  // The fair-share starvation regression (docs/fleet-serving.md): one chatty
-  // tenant floods the pool while a sparse tenant submits a trickle. Stride
-  // scheduling must keep the sparse tenant's queue wait far below the
-  // flooder's, and the per-session pool_task_wait_us histograms prove it.
-  telemetry::Telemetry telemetry;
-  ThreadPool pool(2);
-  pool.set_telemetry(&telemetry, "fleet_worker");
-  pool.register_session(1, /*weight=*/1, "flood");
-  pool.register_session(2, /*weight=*/1, "sparse");
-
-  const auto spin = [] {
-    const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::microseconds(200);
-    while (std::chrono::steady_clock::now() < until) {
-    }
-  };
-  for (int i = 0; i < 400; ++i) pool.submit(1, spin);
-  for (int i = 0; i < 12; ++i) pool.submit(2, spin);
-  pool.wait_idle();
-
-  auto& flood = telemetry.metrics().histogram(
-      "pool_task_wait_us", {{"pool", "fleet_worker"}, {"session", "flood"}});
-  auto& sparse = telemetry.metrics().histogram(
-      "pool_task_wait_us", {{"pool", "fleet_worker"}, {"session", "sparse"}});
-  ASSERT_EQ(flood.count(), 400u);
-  ASSERT_EQ(sparse.count(), 12u);
-  const double flood_mean =
-      flood.sum() / static_cast<double>(flood.count());
-  const double sparse_mean =
-      sparse.sum() / static_cast<double>(sparse.count());
-  // The flooder's 400 tasks queue behind each other (~mean half the backlog);
-  // the sparse tenant interleaves 1:1 and waits a couple of task-times. A 3×
-  // margin keeps the assertion robust to scheduler noise while still failing
-  // instantly under FIFO (where sparse ≈ flood backlog ≈ same mean).
-  EXPECT_LT(sparse_mean * 3.0, flood_mean)
-      << "sparse=" << sparse_mean << "us flood=" << flood_mean << "us";
 }
 
 TEST(ThreadPool, DestructionWithPendingWorkJoinsCleanly) {
+  // Destroy each pool right after its region: every worker must have left
+  // the region, and the join must not hang or touch the telemetry late.
   std::atomic<int> done{0};
-  {
+  for (int round = 0; round < 50; ++round) {
+    telemetry::Telemetry telemetry;
     ThreadPool pool(2);
-    for (int i = 0; i < 20; ++i) {
-      pool.submit([&done] { done.fetch_add(1); });
-    }
-    pool.wait_idle();
+    pool.set_telemetry(&telemetry);
+    pool.parallel_chunks(20, 2, [&done](size_t begin, size_t end) {
+      done.fetch_add(static_cast<int>(end - begin));
+    });
   }
-  EXPECT_EQ(done.load(), 20);
+  EXPECT_EQ(done.load(), 50 * 20);
 }
 
 }  // namespace

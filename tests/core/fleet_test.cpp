@@ -112,6 +112,28 @@ TEST(Fleet, StandaloneVehicleUnchangedByFleetFields) {
   EXPECT_EQ(m.network.frames_rejected, 0u);
 }
 
+TEST(Fleet, RealThreadCountDoesNotMoveVirtualResults) {
+  // The pool's real threads only execute kernels; modeled time keys cycles
+  // by grain, so one real thread and four report the same mission.
+  auto run_on = [](int threads) {
+    WorkerPoolConfig wc;
+    wc.cores = 16;
+    wc.threads = threads;
+    WorkerPool pool(wc);
+    MissionRunner v0(sim::make_fleet_scenario(0, 1),
+                     offload_plan("cloud_4t", Host::kCloudServer, 4,
+                                  WorkloadKind::kNavigationWithMap),
+                     fleet_config(0, &pool));
+    return v0.run();
+  };
+  const MissionReport one = run_on(1);
+  const MissionReport four = run_on(4);
+  ASSERT_TRUE(one.success);
+  ASSERT_TRUE(four.success);
+  EXPECT_EQ(one.completion_time, four.completion_time);
+  EXPECT_EQ(one.energy.total(), four.energy.total());
+}
+
 // ---- fleet-scale fault tolerance (PR 9) -------------------------------------
 
 TEST(Fleet, PrimaryPoolCrashFailsOverToStandbyMidMission) {

@@ -149,6 +149,25 @@ TEST(ExecutionContext, ParallelKernelOnRealPoolMatchesSerial) {
   EXPECT_DOUBLE_EQ(par.profile().total_cycles(), 100.0 * 101.0 / 2.0);
 }
 
+TEST(ExecutionContext, DynamicChunkCyclesDoNotDependOnRealThreads) {
+  // Cycles are keyed by grain, so a one-thread pool must model the region
+  // exactly like a four-thread pool.
+  auto chunk_cycles = [](size_t pool_threads) {
+    ThreadPool pool(pool_threads);
+    ExecutionContext ctx(&pool, 4);
+    ctx.parallel_kernel_blocks(
+        37,
+        [](size_t begin, size_t end) {
+          double cycles = 0.0;
+          for (size_t i = begin; i < end; ++i) cycles += static_cast<double>((i + 1) * (i + 1));
+          return cycles;
+        },
+        Schedule::kDynamic);
+    return ctx.profile().regions.at(0).chunk_cycles;
+  };
+  EXPECT_EQ(chunk_cycles(1), chunk_cycles(4));
+}
+
 TEST(ExecutionContext, SingleThreadKernelCountsAsSerial) {
   ExecutionContext ctx(nullptr, 1);
   ctx.parallel_kernel(5, [](size_t) { return 1.0; });
