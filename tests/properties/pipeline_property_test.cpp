@@ -2,6 +2,9 @@
 // the network substrate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+
 #include "control/trajectory_rollout.h"
 #include "net/wireless_channel.h"
 #include "perception/amcl.h"
@@ -58,10 +61,13 @@ INSTANTIATE_TEST_SUITE_P(Configs, InflationMonotone,
 
 // ---- rollout: the velocity cap binds for any cap × sample count ------------
 
+// gtest names each case after a byte dump of the struct, so it must have no
+// padding: uninitialised padding bytes would change the name on every run.
 struct RolloutCase {
   double cap;
-  int samples;
+  int64_t samples;
 };
+static_assert(sizeof(RolloutCase) == sizeof(double) + sizeof(int64_t));
 
 class RolloutCapBinds : public ::testing::TestWithParam<RolloutCase> {};
 
@@ -76,7 +82,7 @@ TEST_P(RolloutCapBinds, CommandNeverExceedsCap) {
   for (double x = 1.0; x < 9.0; x += 0.25) path.poses.emplace_back(x, 5.0, 0.0);
 
   control::RolloutConfig rc;
-  rc.samples = c.samples;
+  rc.samples = static_cast<int>(c.samples);
   control::TrajectoryRollout rollout(rc);
   platform::ExecutionContext ctx;
   // Start already at the cap so the window straddles it.
@@ -117,12 +123,19 @@ INSTANTIATE_TEST_SUITE_P(Rates, LatencyBytesMonotone,
 
 // ---- scenarios: every builder yields a usable environment ------------------
 
-using ScenarioMaker = sim::Scenario (*)();
+// Named, so the test name does not carry the builder's (ASLR-randomised)
+// address.
+struct ScenarioMaker {
+  const char* name;
+  sim::Scenario (*make)();
+};
+
+void PrintTo(const ScenarioMaker& m, std::ostream* os) { *os << m.name; }
 
 class ScenarioContract : public ::testing::TestWithParam<ScenarioMaker> {};
 
 TEST_P(ScenarioContract, ScanLogTraversesFreeSpace) {
-  const sim::Scenario s = GetParam()();
+  const sim::Scenario s = GetParam().make();
   const auto log = sim::record_scan_log(s, 0.4, 0.25, 40);
   ASSERT_GE(log.size(), 20u);
   for (const auto& e : log) {
@@ -132,7 +145,7 @@ TEST_P(ScenarioContract, ScanLogTraversesFreeSpace) {
 }
 
 TEST_P(ScenarioContract, LidarSeesSomethingFromStart) {
-  const sim::Scenario s = GetParam()();
+  const sim::Scenario s = GetParam().make();
   sim::Lidar lidar;
   const msg::LaserScan scan = lidar.scan(s.world, s.start, 0.0);
   int returns = 0;
@@ -141,10 +154,12 @@ TEST_P(ScenarioContract, LidarSeesSomethingFromStart) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Builders, ScenarioContract,
-                         ::testing::Values(&sim::make_lab_scenario,
-                                           &sim::make_office_scenario,
-                                           &sim::make_obstacle_course_scenario,
-                                           &sim::make_open_scenario));
+                         ::testing::Values(
+                             ScenarioMaker{"lab", &sim::make_lab_scenario},
+                             ScenarioMaker{"office", &sim::make_office_scenario},
+                             ScenarioMaker{"obstacle_course",
+                                           &sim::make_obstacle_course_scenario},
+                             ScenarioMaker{"open", &sim::make_open_scenario}));
 
 // ---- AMCL: convergence from a wide prior across seeds ----------------------
 
