@@ -7,16 +7,21 @@
 //     layered DAGs of 64–512 nodes on the three-tier topology. Acceptance:
 //     ≥ 20× per-evaluation speedup at every size.
 //
-//  2. Solve cost — a full WOA + local-search solve of the 64-node DAG, priced
-//     by the engine's deterministic cycle model on the vehicle platform
-//     (what an adjustment epoch would actually pay on the RPi). Acceptance:
-//     < 10 ms modeled; the bounded reoptimize() re-trigger is cheaper still.
+//  2. Solve cost — the exact solve of make_pipeline_dag(), the only DAG the
+//     runtime places (7 nodes, 2 pinned: 3^5 plans, 242 moves), priced by
+//     the engine's deterministic cycle model on the vehicle platform (what
+//     an adjustment epoch actually pays on the RPi). Acceptance: < 10 ms
+//     modeled; a reoptimize() after a real link change costs no more than
+//     the solve, and one with unchanged tables makes no moves.
 //
 //  3. Plan quality — the Fig. 2 pipeline DAG on three three-tier scenarios
 //     (healthy WLAN, constrained WLAN, congested WLAN + long WAN). The seed
-//     is Algorithm 1's two-host answer (ECN nodes → cloud). Acceptance: the
+//     is Algorithm 1's two-host answer (ECN nodes → cloud); `alg1_gap` is
+//     how much costlier that seed is than the optimum. Acceptance: the
 //     engine is never worse than the seed anywhere, and strictly better on
-//     at least one scenario (the gateway tier must earn its keep).
+//     at least one scenario. The gateway wins the healthy WLAN; on the
+//     constrained and congested ones the optimum is all-local (each WLAN
+//     crossing pays half the RTT, more than offloading saves).
 //
 // Artifacts: BENCH_placement_search.json (the gated numbers). Exit status is
 // the acceptance verdict, so CI's placement-bench smoke job fails loudly.
@@ -43,7 +48,6 @@ using core::HostTopology;
 using core::PlacementCandidate;
 using core::PlacementDag;
 using core::PlacementEngine;
-using core::PlacementEngineConfig;
 using core::PlacementResult;
 
 namespace {
@@ -158,6 +162,7 @@ struct ScenarioRow {
   std::string name;
   double seed_cost_s = 0.0;
   double cost_s = 0.0;
+  double alg1_gap = 0.0;  ///< seed_cost_s / cost_s - 1
   bool never_worse = false;
   bool improved = false;
 };
@@ -169,15 +174,17 @@ ScenarioRow run_scenario(const std::string& name, HostTopology topology) {
   row.name = name;
   row.seed_cost_s = r.seed_cost_s;
   row.cost_s = r.cost_s;
+  row.alg1_gap = r.seed_cost_s / r.cost_s - 1.0;
   row.never_worse = r.cost_s <= r.seed_cost_s + 1e-12;
   row.improved = r.improved;
   return row;
 }
 
-void write_json(const std::vector<IncrementalRow>& rows, const PlacementResult& solve,
-                double reoptimize_modeled_s, const std::vector<ScenarioRow>& scenarios,
-                bool smoke, bool speedup_ok, bool solve_ok, bool never_worse,
-                bool improves_some) {
+void write_json(const std::vector<IncrementalRow>& rows, size_t solve_nodes,
+                const PlacementResult& solve, double reoptimize_modeled_s,
+                uint64_t unchanged_reoptimize_moves,
+                const std::vector<ScenarioRow>& scenarios, bool smoke, bool speedup_ok,
+                bool solve_ok, bool never_worse, bool improves_some) {
   std::ofstream f("BENCH_placement_search.json");
   f << "{\n  \"bench\": \"placement_search\",\n";
   f << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n";
@@ -190,16 +197,17 @@ void write_json(const std::vector<IncrementalRow>& rows, const PlacementResult& 
       << (i + 1 < rows.size() ? ",\n" : "\n");
   }
   f << "  ],\n";
-  f << "  \"solve\": {\"nodes\": 64, \"modeled_solve_ms\": "
-    << solve.modeled_solve_s * 1e3
+  f << "  \"solve\": {\"nodes\": " << solve_nodes
+    << ", \"modeled_solve_ms\": " << solve.modeled_solve_s * 1e3
     << ", \"reoptimize_modeled_ms\": " << reoptimize_modeled_s * 1e3
+    << ", \"unchanged_reoptimize_moves\": " << unchanged_reoptimize_moves
     << ", \"delta_evals\": " << solve.delta_evals
     << ", \"full_evals\": " << solve.full_evals << "},\n";
   f << "  \"scenarios\": [\n";
   for (size_t i = 0; i < scenarios.size(); ++i) {
     const ScenarioRow& s = scenarios[i];
     f << "    {\"name\": \"" << s.name << "\", \"seed_cost_s\": " << s.seed_cost_s
-      << ", \"cost_s\": " << s.cost_s
+      << ", \"cost_s\": " << s.cost_s << ", \"alg1_gap\": " << s.alg1_gap
       << ", \"never_worse\": " << (s.never_worse ? "true" : "false")
       << ", \"improved\": " << (s.improved ? "true" : "false") << "}"
       << (i + 1 < scenarios.size() ? ",\n" : "\n");
@@ -223,7 +231,7 @@ int main(int argc, char** argv) {
   }
 
   bench::print_title(
-      std::string("Multi-tier placement: incremental kernel + whale search") +
+      std::string("Multi-tier placement: incremental kernel + exact enumeration") +
       (smoke ? " [smoke]" : ""));
 
   // ---- 1. incremental vs full evaluation ---------------------------------
@@ -245,22 +253,29 @@ int main(int argc, char** argv) {
   const bool speedup_ok = min_speedup >= 20.0;
 
   // ---- 2. modeled solve cost on the vehicle ------------------------------
-  bench::print_subtitle("solve cost, modeled on the vehicle platform (deterministic)");
-  BenchRng rng(0x5eed);
-  PlacementDag dag64 = random_dag(rng, 64);
-  PlacementEngine engine64(std::move(dag64),
+  bench::print_subtitle("pipeline DAG exact solve, modeled on the vehicle (deterministic)");
+  PlacementEngine pipeline(core::make_pipeline_dag(),
                            HostTopology::three_tier(8, 48, 2.5e6, 0.005), {});
-  std::vector<uint8_t> seed64(engine64.dag().node_count(), 0);
-  const PlacementResult solve64 = engine64.solve(seed64);
-  const PlacementResult reopt64 = engine64.reoptimize();
-  std::printf("full solve   (64 nodes): %8.3f ms modeled  (%" PRIu64
-              " delta evals, %" PRIu64 " full evals)\n",
-              solve64.modeled_solve_s * 1e3, solve64.delta_evals, solve64.full_evals);
-  std::printf("reoptimize   (64 nodes): %8.3f ms modeled  (%" PRIu64
-              " delta evals)\n",
-              reopt64.modeled_solve_s * 1e3, reopt64.delta_evals);
-  const bool solve_ok =
-      solve64.modeled_solve_s < 10e-3 && reopt64.modeled_solve_s < solve64.modeled_solve_s;
+  const size_t solve_nodes = pipeline.dag().node_count();
+  const PlacementResult solve = pipeline.solve(alg1_seed(pipeline));
+  // Same tables: the incumbent stands, nothing is evaluated.
+  const PlacementResult unchanged = pipeline.reoptimize();
+  // A real link change (the WLAN degrades): the tables rebuild and the
+  // re-trigger re-enumerates from the incumbent.
+  pipeline.topology().observe_link(0, 1, 1.2e6, 0.04, 0.01);
+  pipeline.topology().observe_link(1, 0, 1.2e6, 0.04, 0.01);
+  const PlacementResult reopt = pipeline.reoptimize();
+  std::printf("solve       (%zu nodes): %8.3f ms modeled  (%" PRIu64
+              " moves, %" PRIu64 " full evals)\n",
+              solve_nodes, solve.modeled_solve_s * 1e3, solve.delta_evals,
+              solve.full_evals);
+  std::printf("reoptimize  (link moved): %7.3f ms modeled  (%" PRIu64 " moves)\n",
+              reopt.modeled_solve_s * 1e3, reopt.delta_evals);
+  std::printf("reoptimize  (unchanged):  %7.3f ms modeled  (%" PRIu64 " moves)\n",
+              unchanged.modeled_solve_s * 1e3, unchanged.delta_evals);
+  const bool solve_ok = solve.modeled_solve_s < 10e-3 &&
+                        reopt.modeled_solve_s <= solve.modeled_solve_s &&
+                        unchanged.delta_evals == 0;
 
   // ---- 3. plan quality vs Algorithm 1 ------------------------------------
   bench::print_subtitle("pipeline DAG, three-tier scenarios vs Algorithm 1 seed");
@@ -269,36 +284,39 @@ int main(int argc, char** argv) {
   // already near-optimal — the engine must simply not lose to it.
   scenarios.push_back(
       run_scenario("healthy_wlan", HostTopology::three_tier(8, 48, 2.5e6, 0.005)));
-  // Constrained WLAN: the two-host plan saturates the uplink; splitting
-  // across the gateway tier should win.
+  // Constrained WLAN: every edge that crosses the 80 ms WLAN pays half its
+  // RTT, more than any remote tier saves in compute (and the cloud path also
+  // breaches the RTT threshold); the optimum keeps everything on the vehicle.
   scenarios.push_back(
       run_scenario("constrained_wlan", HostTopology::three_tier(8, 48, 6.0e5, 0.08)));
-  // Congested WLAN + long WAN: cloud RTT breaches the control deadline, the
-  // gateway is the only viable remote tier.
+  // Congested WLAN + long WAN: cloud RTT breaches the control deadline, and
+  // the 60 ms lossy WLAN hop costs more than the gateway saves; the optimum
+  // is all-local again.
   scenarios.push_back(run_scenario(
       "congested_wan", HostTopology::three_tier(8, 48, 1.0e6, 0.06, 0.05, 0.08)));
-  std::printf("%18s %14s %14s %8s %10s\n", "scenario", "alg1 cost", "engine cost",
-              "worse?", "improved");
+  std::printf("%18s %14s %14s %9s %8s %10s\n", "scenario", "alg1 cost", "engine cost",
+              "alg1 gap", "worse?", "improved");
   bool never_worse = true;
   bool improves_some = false;
   for (const ScenarioRow& s : scenarios) {
     never_worse &= s.never_worse;
     improves_some |= s.improved;
-    std::printf("%18s %13.4fs %13.4fs %8s %10s\n", s.name.c_str(), s.seed_cost_s,
-                s.cost_s, s.never_worse ? "no" : "YES", s.improved ? "yes" : "no");
+    std::printf("%18s %13.4fs %13.4fs %8.0f%% %8s %10s\n", s.name.c_str(),
+                s.seed_cost_s, s.cost_s, s.alg1_gap * 100.0,
+                s.never_worse ? "no" : "YES", s.improved ? "yes" : "no");
   }
 
   // ---- acceptance ---------------------------------------------------------
   bench::print_subtitle("acceptance");
   std::printf("incremental >= 20x everywhere:     %s (min %.1fx)\n",
               speedup_ok ? "yes" : "NO", min_speedup);
-  std::printf("64-node solve < 10 ms modeled:     %s (%.3f ms)\n",
-              solve_ok ? "yes" : "NO", solve64.modeled_solve_s * 1e3);
+  std::printf("pipeline solve < 10 ms modeled:    %s (%.3f ms)\n",
+              solve_ok ? "yes" : "NO", solve.modeled_solve_s * 1e3);
   std::printf("never worse than Algorithm 1:      %s\n", never_worse ? "yes" : "NO");
   std::printf("beats Algorithm 1 somewhere:       %s\n", improves_some ? "yes" : "NO");
 
-  write_json(rows, solve64, reopt64.modeled_solve_s, scenarios, smoke, speedup_ok,
-             solve_ok, never_worse, improves_some);
+  write_json(rows, solve_nodes, solve, reopt.modeled_solve_s, unchanged.delta_evals,
+             scenarios, smoke, speedup_ok, solve_ok, never_worse, improves_some);
 
   const bool ok = speedup_ok && solve_ok && never_worse && improves_some;
   if (!ok) std::printf("\nACCEPTANCE FAILED\n");

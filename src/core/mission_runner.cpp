@@ -497,9 +497,9 @@ void MissionRunner::run_adjustment(double now) {
   const bool switched = runtime_.set_vdp_placement(wanted);
 
   // ---- multi-tier re-trigger: while the VDP is remote, every adjustment
-  // epoch (and every Algorithm 2 switch) runs a *bounded* re-optimization of
-  // the N-host plan against the live link model — never a full solve. A no-op
-  // for two-host plans or while Algorithm 2 holds the vehicle local.
+  // epoch (and every Algorithm 2 switch) re-optimizes the N-host plan against
+  // the live link model; it re-enumerates only when the link model moved. A
+  // no-op for two-host plans or while Algorithm 2 holds the vehicle local.
   runtime_.reoptimize_placement(switched ? "alg2_switch" : "adjust_epoch");
 
   if (switched) {

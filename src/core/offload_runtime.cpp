@@ -39,8 +39,6 @@ namespace {
 /// adjust_channel adds for cloud deployments) — what separates the vehicle →
 /// cloud path from the vehicle → gateway path in the three-tier topology.
 constexpr double kWanRttS = 0.024;
-/// Scan payload the receive-side stream rate is counted in (bytes).
-constexpr double kStreamPayloadBytes = 3000.0;
 
 net::ChannelConfig adjust_channel(net::ChannelConfig cfg, Point2D wap,
                                   platform::Host remote) {
@@ -144,7 +142,7 @@ OffloadRuntime::OffloadRuntime(DeploymentPlan plan, Point2D wap_position,
         channel_config.uplink_rate_bps / 8.0,
         2.0 * channel_config.base_latency_s, /*wlan_loss=*/0.0, kWanRttS);
     placement_engine_ = std::make_unique<PlacementEngine>(
-        make_pipeline_dag(), std::move(topo), plan_.placement);
+        make_pipeline_dag(), std::move(topo));
     placement_engine_->set_telemetry(telemetry_.get());
   }
 }
@@ -186,8 +184,8 @@ OffloadDecision OffloadRuntime::apply_initial_placement() {
   }
   for (const auto& [id, host] : decision.placement) place(id, host);
   if (placement_engine_ != nullptr && plan_.offload) {
-    // Multi-tier: Algorithm 1's two-host answer seeds (and lower-bounds) a
-    // full engine solve over the three-tier topology.
+    // Multi-tier: Algorithm 1's two-host answer seeds an exact engine solve
+    // over the three-tier topology (the result is never worse than it).
     refresh_placement_model();
     const std::vector<NodeId> nodes = all_nodes();
     const HostTopology& topo = placement_engine_->topology();
@@ -289,22 +287,21 @@ void OffloadRuntime::refresh_placement_model() {
   // datacenter is serving to recover the WLAN hop both paths share.
   const double wlan_rtt = std::max(
       1e-4, *rtt - (remote_host_ == platform::Host::kCloudServer ? kWanRttS : 0.0));
-  // Receive-side stream rate (Algorithm 2's r_t) → offered bytes/s. A quiet
-  // stream is absence of evidence: the link keeps its last bandwidth.
-  const double stream_hz = profiler_.observe(clock_.now()).bandwidth_hz;
-  const auto feed = [&](int a, int b, double rtt_s) {
+  // Link capacity is the WLAN's signal-scaled rate in bytes/s — the rate the
+  // Switcher prices Eq. 1b energy and migrations with. (Algorithm 2's r_t is
+  // the stream's achieved rate, not what the link could carry.)
+  const double up_bps = channel_.effective_uplink_bps() / 8.0;
+  const double down_bps = channel_.effective_downlink_bps() / 8.0;
+  const auto feed = [&](int a, int b, double bw, double rtt_s) {
     if (a < 0 || b < 0) return;
-    const TopologyLink& l = topo.link(a, b);
-    const double bw =
-        stream_hz > 0.0 ? stream_hz * kStreamPayloadBytes : l.bandwidth_bps;
-    topo.observe_link(a, b, bw, rtt_s, l.loss);
+    topo.observe_link(a, b, bw, rtt_s, topo.link(a, b).loss);
   };
   const int edge = topo.index_of(platform::Host::kEdgeGateway);
   const int cloud = topo.index_of(platform::Host::kCloudServer);
-  feed(0, edge, wlan_rtt);
-  feed(edge, 0, wlan_rtt);
-  feed(0, cloud, wlan_rtt + kWanRttS);
-  feed(cloud, 0, wlan_rtt + kWanRttS);
+  feed(0, edge, up_bps, wlan_rtt);
+  feed(edge, 0, down_bps, wlan_rtt);
+  feed(0, cloud, up_bps, wlan_rtt + kWanRttS);
+  feed(cloud, 0, down_bps, wlan_rtt + kWanRttS);
 }
 
 PlacementResult OffloadRuntime::reoptimize_placement(const char* trigger) {

@@ -45,11 +45,10 @@ struct DeploymentPlan {
   /// N-host mode: place the pipeline over a lgv → edge_gateway → cloud_server
   /// HostTopology with the PlacementEngine, seeded by Algorithm 1's two-host
   /// answer. Algorithm 2 keeps its retreat-local authority; while the VDP is
-  /// remote, adjustment epochs run bounded re-optimizations instead of the
+  /// remote, adjustment epochs re-optimize the placement instead of the
   /// binary flip.
   bool multi_tier = false;
   int edge_threads = 8;  ///< gateway parallel width in the three-tier topology
-  PlacementEngineConfig placement;  ///< optimizer knobs (multi_tier only)
 };
 
 DeploymentPlan local_plan(WorkloadKind workload);
@@ -122,23 +121,26 @@ class OffloadRuntime {
   platform::Host host_of(NodeId id) const;
   void place(NodeId id, platform::Host host);
   /// Run Algorithm 1 with the current profiled VDP times and apply it. In
-  /// multi-tier mode the two-host answer then seeds a full PlacementEngine
+  /// multi-tier mode the two-host answer then seeds an exact PlacementEngine
   /// solve over the three-tier topology, and the engine's (never-worse) plan
   /// is what gets applied.
   OffloadDecision apply_initial_placement();
 
   /// The N-host optimizer (nullptr unless plan().multi_tier).
   PlacementEngine* placement_engine() { return placement_engine_.get(); }
-  /// Feed the profiler's live observables (RTT, receive-side bandwidth) into
-  /// the topology's links. Material changes bump the topology generation and
-  /// invalidate the cost tables; unchanged numbers are free (satellite:
-  /// repeated steps with unchanged profiles rebuild nothing).
+  /// Feed the live link observables into the topology's links: the
+  /// profiler's RTT and the channel's effective uplink/downlink rates (the
+  /// capacities the Switcher prices Eq. 1b and migrations with). Material
+  /// changes bump the topology generation and invalidate the cost tables;
+  /// unchanged numbers are free (repeated steps with unchanged profiles
+  /// rebuild nothing).
   void refresh_placement_model();
-  /// Bounded re-optimization re-trigger (the cooperating layer Algorithm 2
-  /// and AP-handoff events invoke instead of a full solve). Applies the
-  /// improved assignment while the VDP is remote; a no-op when the vehicle
-  /// has retreated local (Algorithm 2 keeps that authority) or when not in
-  /// multi-tier mode. `trigger` labels the telemetry marker.
+  /// Re-optimization re-trigger (the cooperating layer Algorithm 2 and
+  /// AP-handoff events invoke): re-enumerates only when the link model
+  /// moved. Applies the resulting assignment while the VDP is remote; a
+  /// no-op when the vehicle has retreated local (Algorithm 2 keeps that
+  /// authority) or when not in multi-tier mode. `trigger` labels the
+  /// telemetry marker.
   PlacementResult reoptimize_placement(const char* trigger);
   /// Algorithm 2 outcome: move every currently-remote node local (or the
   /// plan's remote set back out). Returns true when anything moved.

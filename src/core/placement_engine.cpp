@@ -4,9 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <limits>
+#include <stdexcept>
 
-#include "common/rng.h"
 #include "common/telemetry/telemetry.h"
 
 namespace lgv::core {
@@ -15,7 +14,7 @@ namespace {
 
 /// Cost assigned to assignments that violate a pin or route over a dead
 /// link: large enough that any feasible plan beats any infeasible one, small
-/// enough that the gap between two infeasible plans still guides the search.
+/// enough that two infeasible plans still compare.
 constexpr double kUnplaceable = 1e6;
 
 /// Modeled cycle prices of the evaluator itself (charged to the vehicle's
@@ -25,16 +24,10 @@ constexpr double kUnplaceable = 1e6;
 constexpr double kCyclesPerDeltaEval = 220.0;
 constexpr double kCyclesPerFullEvalUnit = 25.0;  ///< per (node + edge + link)
 
-/// Counter-based uniform draw: pure function of (stream, counter), so a
-/// candidate's update sequence replays bit-identically on any worker.
-double draw01(uint64_t stream, uint64_t& counter) {
-  const uint64_t bits = splitmix64(stream + ++counter);
-  return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
-
-uint32_t draw_index(uint64_t stream, uint64_t& counter, uint32_t n) {
-  return static_cast<uint32_t>(draw01(stream, counter) * n) % n;
-}
+/// A plan must beat the incumbent by more than this (relative, floor 1 s) to
+/// replace it: the walk's running cost carries rounding from hundreds of
+/// incremental updates, and a tie must keep the incumbent.
+constexpr double kTieEpsilon = 1e-12;
 
 }  // namespace
 
@@ -64,6 +57,9 @@ PlacementEngine::PlacementEngine(PlacementDag dag, HostTopology topology,
                                  PlacementEngineConfig config)
     : dag_(std::move(dag)), topology_(std::move(topology)), config_(config) {
   assert(topology_.host_count() > 0 && topology_.host_count() <= 255);
+  for (uint32_t i = 0; i < dag_.node_count(); ++i) {
+    if (dag_.pinned[i] == PlacementDag::kFreeHost) free_nodes_.push_back(i);
+  }
   build_adjacency();
   refresh_tables();
 }
@@ -211,7 +207,7 @@ void PlacementEngine::price(PlacementCandidate& c) const {
     c.transfer_s += cost[0];
     c.rtt_penalty_s += cost[1];
     // Self links carry no penalty; keeping them out of the load books keeps
-    // the candidate's caches byte-identical with compute_move's updates.
+    // the candidate's caches byte-identical with apply_move's updates.
     if (s != d) c.link_load_bps[link_index(s, d)] += edge.bytes * edge.rate_hz;
   }
   for (size_t l = 0; l < h * h; ++l) {
@@ -369,13 +365,6 @@ PlacementEngine::MoveDelta PlacementEngine::move_dispatch(
   }
 }
 
-PlacementEngine::MoveDelta PlacementEngine::compute_move(
-    const PlacementCandidate& c, int node, uint8_t to,
-    std::vector<std::pair<size_t, double>>* affected) const {
-  return affected != nullptr ? move_dispatch<true>(c, node, to, affected)
-                             : move_dispatch<false>(c, node, to, nullptr);
-}
-
 PlacementEngine::MoveDelta PlacementEngine::preview_move(const PlacementCandidate& c,
                                                          int node, uint8_t to) const {
   return move_dispatch<false>(c, node, to, nullptr);
@@ -396,104 +385,65 @@ void PlacementEngine::apply_move(PlacementCandidate& c, int node, uint8_t to) co
   c.capacity_penalty_s += delta.d_capacity_penalty;
 }
 
-uint64_t PlacementEngine::evolve_candidate(PlacementCandidate& c,
-                                           const PlacementCandidate& best,
-                                           uint64_t stream, double a) {
-  const uint32_t h = static_cast<uint32_t>(hosts());
-  uint64_t counter = 0;
-  // --- WOA position update over the discrete host alphabet. The continuous
-  // encircling/spiral equations become adoption probabilities: a shrinking
-  // |A| pulls hosts toward the best candidate's (exploitation), a large |A|
-  // re-rolls them uniformly (exploration), the spiral branch copies the best
-  // with fixed probability. Pinned nodes never move.
-  bool jumped = false;
-  for (size_t node = 0; node < dag_.node_count(); ++node) {
-    if (dag_.pinned[node] != PlacementDag::kFreeHost) continue;
-    const double r1 = draw01(stream, counter);
-    const double p = draw01(stream, counter);
-    const double A = 2.0 * a * r1 - a;
-    uint8_t next = c.host[node];
-    if (p < 0.5) {
-      if (std::fabs(A) < 1.0) {
-        if (draw01(stream, counter) < 1.0 - std::fabs(A)) next = best.host[node];
-      } else {
-        if (draw01(stream, counter) < 0.5) {
-          next = static_cast<uint8_t>(draw_index(stream, counter, h));
-        }
-      }
-    } else {
-      if (draw01(stream, counter) < 0.7) next = best.host[node];
-    }
-    if (next != c.host[node]) {
-      c.host[node] = next;
-      jumped = true;
+PlacementResult PlacementEngine::enumerate(const std::vector<uint8_t>& start) {
+  assert(start.size() == dag_.node_count());
+  const uint64_t h = static_cast<uint64_t>(hosts());
+  uint64_t plans = 1;
+  for (size_t k = 0; k < free_nodes_.size() && h > 1; ++k) {
+    plans *= h;
+    if (plans > kMaxPlans) {
+      throw std::invalid_argument(
+          "PlacementEngine: " + std::to_string(h) + "^" +
+          std::to_string(free_nodes_.size()) + " plans exceed the enumeration cap");
     }
   }
-  // A jump rewrites many coordinates at once: one O(|DAG|) re-price is
-  // cheaper than a delta per changed node and resets incremental drift.
-  if (jumped) price(c);
 
-  // --- Greedy local-search polish: delta-priced single-node moves, accepted
-  // only when they strictly improve. This is where the O(degree) evaluator
-  // earns its keep — config_.local_moves neighbors cost less than one full
-  // re-price.
-  uint64_t delta_evals = 0;
-  if (!free_nodes_.empty() && h > 1) {
-    for (int m = 0; m < config_.local_moves; ++m) {
-      const int node = static_cast<int>(
-          free_nodes_[draw_index(stream, counter,
-                                 static_cast<uint32_t>(free_nodes_.size()))]);
-      const uint8_t cur = c.host[static_cast<size_t>(node)];
-      const uint8_t to = static_cast<uint8_t>(
-          (cur + 1 + draw_index(stream, counter, h - 1)) % h);
-      const MoveDelta d = preview_move(c, node, to);
-      ++delta_evals;
-      if (d.total() < -1e-12) apply_move(c, node, to);
-    }
-  }
-  return delta_evals;
-}
-
-PlacementResult PlacementEngine::run_iterations(int iterations) {
   PlacementResult result;
-  result.seed_cost_s = seed_cost_s_;
-  result.iterations = iterations;
+  walk_.host.assign(start.begin(), start.end());
+  price(walk_);
+  best_ = walk_;
+  result.full_evals = 1;
+  result.seed_cost_s = walk_.cost();
+  double best_cost = result.seed_cost_s;
 
-  const int pool_size = static_cast<int>(swarm_.size());
-  std::vector<uint64_t> delta_counts(static_cast<size_t>(pool_size), 0);
-  for (int it = 0; it < iterations; ++it) {
-    // WOA's a: 2 → 0 across this run's budget.
-    const double a =
-        iterations > 1 ? 2.0 * (1.0 - static_cast<double>(it) / (iterations - 1))
-                       : 1.0;
-    const PlacementCandidate best_prev = best_;
-    const int abs_it = absolute_iteration_++;
-    auto evolve_range = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const uint64_t stream =
-            splitmix64(splitmix64(config_.seed + i) +
-                       static_cast<uint64_t>(abs_it));
-        delta_counts[i] += evolve_candidate(swarm_[i], best_prev, stream, a);
-      }
-    };
-    if (pool_ != nullptr && pool_size > 1) {
-      pool_->parallel_dynamic(static_cast<size_t>(pool_size), 1, evolve_range);
-    } else {
-      evolve_range(0, static_cast<size_t>(pool_size));
+  // Knuth's loopless reflected mixed-radix Gray code (TAOCP 7.2.1.1,
+  // Algorithm H) over one digit per free node: digit d of node k means host
+  // (start[k] + d) mod H, so the all-zero tuple is the start plan and every
+  // step moves exactly one node. `focus` names the next digit to step.
+  const size_t n = h > 1 ? free_nodes_.size() : 0;
+  std::vector<uint8_t> digit(n, 0);
+  std::vector<int8_t> dir(n, 1);
+  std::vector<size_t> focus(n + 1);
+  for (size_t k = 0; k <= n; ++k) focus[k] = k;
+  for (;;) {
+    const size_t k = focus[0];
+    focus[0] = 0;
+    if (k == n) break;
+    digit[k] = static_cast<uint8_t>(digit[k] + dir[k]);
+    const uint32_t node = free_nodes_[k];
+    apply_move(walk_, static_cast<int>(node),
+               static_cast<uint8_t>((start[node] + digit[k]) % h));
+    ++result.delta_evals;
+    if (digit[k] == 0 || digit[k] == h - 1) {
+      dir[k] = static_cast<int8_t>(-dir[k]);
+      focus[k] = focus[k + 1];
+      focus[k + 1] = k + 1;
     }
-    // Deterministic reduction: candidates are compared in index order, so
-    // the winner is the same at any worker count.
-    for (const PlacementCandidate& c : swarm_) {
-      if (c.cost() < best_.cost()) best_ = c;
+    if (walk_.cost() < best_cost - kTieEpsilon * std::max(1.0, std::fabs(best_cost))) {
+      best_cost = walk_.cost();
+      best_.host = walk_.host;
     }
-    result.full_evals += static_cast<uint64_t>(pool_size);  // jump re-prices
   }
-  for (uint64_t d : delta_counts) result.delta_evals += d;
+  // The winner's caches came from the walk's running sums: re-price it so
+  // the incumbent (and the reported cost) is exact.
+  price(best_);
+  ++result.full_evals;
+  best_tables_ = table_rebuilds_;
 
   result.assignment.assign(best_.host.begin(), best_.host.end());
   result.cost_s = best_.cost();
-  result.improved = result.cost_s < result.seed_cost_s - 1e-12;
-
+  // Only a strictly cheaper plan replaces the start, so any move improved.
+  result.improved = !std::equal(start.begin(), start.end(), best_.host.begin());
   // Deterministic modeled cost of the solve on the vehicle's silicon.
   const double eval_unit = static_cast<double>(
       dag_.node_count() + dag_.edges.size() +
@@ -507,65 +457,27 @@ PlacementResult PlacementEngine::run_iterations(int iterations) {
 }
 
 PlacementResult PlacementEngine::solve(const std::vector<uint8_t>& seed_assignment) {
-  assert(seed_assignment.size() == dag_.node_count());
   refresh_tables();
-  free_nodes_.clear();
-  for (size_t i = 0; i < dag_.node_count(); ++i) {
-    if (dag_.pinned[i] == PlacementDag::kFreeHost) free_nodes_.push_back(i);
-  }
-
-  // Candidate 0 is Algorithm 1's plan verbatim; the rest are perturbations
-  // of it. Best-ever starts at the seed, so the result can never be worse.
-  swarm_.assign(static_cast<size_t>(std::max(1, config_.candidates)),
-                PlacementCandidate{});
-  const uint32_t h = static_cast<uint32_t>(hosts());
-  uint64_t full_evals = 0;
-  for (size_t i = 0; i < swarm_.size(); ++i) {
-    PlacementCandidate& c = swarm_[i];
-    c.host.assign(seed_assignment.begin(), seed_assignment.end());
-    if (i > 0 && h > 1) {
-      const uint64_t stream = splitmix64(config_.seed ^ (0xa5a5a5a5ULL + i));
-      uint64_t counter = 0;
-      for (size_t node : free_nodes_) {
-        if (draw01(stream, counter) < 0.3) {
-          c.host[node] = static_cast<uint8_t>(draw_index(stream, counter, h));
-        }
-      }
-    }
-    price(c);
-    ++full_evals;
-  }
-  best_ = swarm_[0];
-  seed_cost_s_ = swarm_[0].cost();
-  for (const PlacementCandidate& c : swarm_) {
-    if (c.cost() < best_.cost()) best_ = c;
-  }
-
-  PlacementResult result = run_iterations(config_.iterations);
-  result.full_evals += full_evals;
+  PlacementResult result = enumerate(seed_assignment);
   ++solves_total_;
   record_solve(result, "solve");
   return result;
 }
 
-PlacementResult PlacementEngine::reoptimize(int iterations) {
+PlacementResult PlacementEngine::reoptimize() {
   assert(has_incumbent() && "reoptimize requires a prior solve()");
-  if (iterations <= 0) iterations = config_.reoptimize_iterations;
-  uint64_t repriced = 0;
-  if (refresh_tables()) {
-    // Link observations or DAG edits moved the generation: every cached
-    // candidate cost is stale. Re-price in place; the pool's diversity (and
-    // the incumbent) carry over.
-    for (PlacementCandidate& c : swarm_) {
-      price(c);
-      ++repriced;
-    }
-    price(best_);
-    ++repriced;
-    seed_cost_s_ = best_.cost();
+  refresh_tables();
+  PlacementResult result;
+  if (table_rebuilds_ != best_tables_) {
+    // Link observations moved the prices: search again from the incumbent.
+    const std::vector<uint8_t> incumbent(best_.host.begin(), best_.host.end());
+    result = enumerate(incumbent);
+  } else {
+    // Same tables, same optimum: nothing to evaluate.
+    result.assignment.assign(best_.host.begin(), best_.host.end());
+    result.cost_s = best_.cost();
+    result.seed_cost_s = result.cost_s;
   }
-  PlacementResult result = run_iterations(iterations);
-  result.full_evals += repriced;
   ++solves_total_;
   record_solve(result, "reoptimize");
   return result;
@@ -581,8 +493,6 @@ void PlacementEngine::record_solve(const PlacementResult& r, const char* mode) {
         "placement.solve", "lgv", "placement", telemetry_->now(),
         r.modeled_solve_s,
         {{"mode", mode},
-         {"candidates", std::to_string(swarm_.size())},
-         {"iterations", std::to_string(r.iterations)},
          {"delta_evals", std::to_string(r.delta_evals)},
          {"cost_s", std::to_string(r.cost_s)},
          {"improvement", std::to_string(improvement)}});

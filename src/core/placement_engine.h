@@ -1,6 +1,6 @@
 // Multi-tier placement engine: prices "which host runs which node" plans for
-// an N-host HostTopology over the computation DAG, and searches that space
-// fast enough to run every adjustment epoch.
+// an N-host HostTopology over the computation DAG, and finds the cheapest one
+// exactly, fast enough to run every adjustment epoch.
 //
 // Three layers:
 //
@@ -18,21 +18,19 @@
 //     full_cost() is the always-available reference the tests compare
 //     against.
 //
-//  3. Parallel optimizer — a discrete whale-optimization (WOA) candidate
-//     pool (SNIPPETS.md Snippets 2–3's binary formulation generalized from
-//     {local, cloud} to N hosts) with a greedy delta-priced local-search
-//     polish per iteration. Candidate updates are pure functions of (their
-//     previous state, the previous global best, a per-candidate splitmix64
-//     stream), so the pool parallelizes across ThreadPool workers with
-//     bit-identical results at any worker count. Algorithm 1's two-host
-//     answer seeds candidate 0 and is tracked as best-ever from iteration
-//     zero — the engine can never return a plan worse than Algorithm 1's.
+//  3. Exact enumerator — every assignment of the free nodes, walked in
+//     mixed-radix reflected Gray-code order starting at the seed, so
+//     consecutive plans differ in one node and each step is one apply_move.
+//     The cheapest plan wins; a tie keeps the seed (or incumbent), so an
+//     unchanged optimum never moves a node. The walk is H^free plans, which
+//     caps the DAGs it accepts (kMaxPlans); the runtime's Fig. 2 pipeline is
+//     3^5 = 243.
 //
 // The modeled objective is the additive pipeline makespan (Σ node compute +
 // Σ edge transfer, matching the paper's additive VDP makespan) plus two
-// soft-constraint terms from the WOA formulation: an RTT-threshold penalty
-// on edges whose path latency exceeds the control deadline, and a capacity
-// penalty on links offered more bytes/s than they carry.
+// soft-constraint terms: an RTT-threshold penalty on edges whose path
+// latency exceeds the control deadline, and a capacity penalty on links
+// offered more bytes/s than they carry.
 #pragma once
 
 #include <cstdint>
@@ -41,17 +39,17 @@
 #include <vector>
 
 #include "common/soa.h"
-#include "common/thread_pool.h"
 #include "core/host_topology.h"
 
 namespace lgv::telemetry {
+class Counter;
 class Telemetry;
 }
 
 namespace lgv::core {
 
 /// The computation graph being placed. Node storage is SoA; `kFreeHost`
-/// marks a node the optimizer may move, anything else pins it (the velocity
+/// marks a node the solver may move, anything else pins it (the velocity
 /// mux never leaves the vehicle).
 struct PlacementDag {
   static constexpr uint8_t kFreeHost = 0xff;
@@ -97,27 +95,21 @@ struct PlacementCandidate {
 };
 
 struct PlacementEngineConfig {
-  int candidates = 16;       ///< WOA pool size
-  int iterations = 32;       ///< solve() iteration budget
-  int local_moves = 8;       ///< delta-priced local-search proposals per candidate/iter
-  int reoptimize_iterations = 6;  ///< bounded budget for re-trigger epochs
-  double rtt_threshold_s = 0.1;   ///< control deadline (the WOA RTT threshold)
+  double rtt_threshold_s = 0.1;        ///< control deadline
   double rtt_penalty_weight = 4.0;     ///< seconds charged per second of excess RTT
   double capacity_penalty_s = 2.0;     ///< seconds charged per unit link overload
-  uint64_t seed = 0x5eed;
 };
 
 struct PlacementResult {
   std::vector<uint8_t> assignment;  ///< host index per node
   double cost_s = 0.0;              ///< modeled makespan + penalties
-  double seed_cost_s = 0.0;         ///< the seed (Algorithm 1) plan's cost
-  int iterations = 0;
-  uint64_t delta_evals = 0;   ///< O(degree) move previews this solve
+  double seed_cost_s = 0.0;         ///< cost of the start plan (seed or incumbent)
+  uint64_t delta_evals = 0;   ///< O(degree) moves this solve (one per plan stepped to)
   uint64_t full_evals = 0;    ///< O(|DAG|) candidate re-pricings this solve
   /// Deterministic modeled compute time of the solve itself on the vehicle
   /// (what the adjustment epoch pays — the < 10 ms budget).
   double modeled_solve_s = 0.0;
-  bool improved = false;  ///< found something cheaper than the seed plan
+  bool improved = false;  ///< found something cheaper than the start plan
 };
 
 class PlacementEngine {
@@ -132,9 +124,6 @@ class PlacementEngine {
   HostTopology& topology() { return topology_; }
   const PlacementEngineConfig& config() const { return config_; }
 
-  /// Real threads for the candidate pool (results are bit-identical with or
-  /// without); nullptr = serial. The pool must outlive the engine.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   /// placement.solve spans + placement_solves_total /
   /// placement_delta_evals_total counters; nullptr disconnects.
   void set_telemetry(telemetry::Telemetry* telemetry);
@@ -171,13 +160,22 @@ class PlacementEngine {
   void apply_move(PlacementCandidate& c, int node, uint8_t to) const;
 
   // ---- search ----
-  /// Full WOA + local-search solve seeded by `seed_assignment` (Algorithm
-  /// 1's two-host plan in production; anything valid in tests). The result
-  /// is never worse than the seed.
+  /// Largest plan space (H^free) solve/reoptimize enumerate: 32768 plans is
+  /// 32767 moves, ~8.6 ms at 220 cycles each on the vehicle model, inside the
+  /// 10 ms adjustment-epoch budget.
+  static constexpr uint64_t kMaxPlans = uint64_t{1} << 15;
+
+  /// Exact solve: enumerates every assignment of the free nodes starting at
+  /// `seed_assignment` (Algorithm 1's two-host plan in production; any plan
+  /// that respects the pins in tests) and returns the cheapest, the seed on
+  /// a tie. Throws std::invalid_argument when H^free exceeds kMaxPlans.
   PlacementResult solve(const std::vector<uint8_t>& seed_assignment);
-  /// Bounded re-optimization from the incumbent pool — the cheap re-trigger
-  /// path Algorithm 2 / ApSelector handoffs invoke. Requires a prior solve().
-  PlacementResult reoptimize(int iterations = 0);
+  /// The re-trigger path Algorithm 2 / ApSelector handoffs invoke. When the
+  /// tables were rebuilt since the incumbent was found, re-enumerates from
+  /// the incumbent; otherwise the optimum cannot have moved and it returns
+  /// the incumbent with zero moves. Requires a prior solve(); throws like
+  /// solve().
+  PlacementResult reoptimize();
 
   bool has_incumbent() const { return !best_.host.empty(); }
   const PlacementCandidate& incumbent() const { return best_; }
@@ -208,22 +206,18 @@ class PlacementEngine {
   /// unconstrained links; uses the precomputed inverse capacity — no divide).
   double link_penalty(size_t link, double load_bps) const;
   /// Re-price `c` from its assignment: the O(|DAG|) full evaluation that
-  /// make_candidate/full_cost and post-jump re-pricing share.
+  /// make_candidate/full_cost and the enumerator share.
   void price(PlacementCandidate& c) const;
   /// Shared core of preview_move/apply_move. Every affected link has `from`
   /// or `to` as an endpoint, so load changes accumulate into two dense
   /// per-host lanes (outbound/inbound; the load an edge takes off `from→o`
   /// is exactly what it puts on `to→o`) and the penalty pass enumerates the
-  /// ≤ 4·H distinct links once — O(degree + H) per move. When `affected` is
-  /// non-null it receives the unique (link, load-change) pairs apply_move
-  /// folds into the candidate's caches.
-  MoveDelta compute_move(const PlacementCandidate& c, int node, uint8_t to,
-                         std::vector<std::pair<size_t, double>>* affected) const;
-  /// The move kernel behind compute_move, specialized so the preview path
-  /// (kCollect = false) carries no affected-list bookkeeping at all, and on
-  /// kH (the host count as a compile-time constant for the common 2–4 host
-  /// tiers, 0 = runtime) so lane zeroing, loop trip counts, and table
-  /// addressing all constant-fold.
+  /// ≤ 4·H distinct links once — O(degree + H) per move. With kCollect,
+  /// `affected` receives the unique (link, load-change) pairs apply_move
+  /// folds into the candidate's caches; the preview path (kCollect = false)
+  /// carries no such bookkeeping at all. kH is the host count as a
+  /// compile-time constant for the common 2–4 host tiers (0 = runtime), so
+  /// lane zeroing, loop trip counts, and table addressing all constant-fold.
   template <bool kCollect, size_t kH>
   MoveDelta move_impl(const PlacementCandidate& c, int node, uint8_t to,
                       std::vector<std::pair<size_t, double>>* affected) const;
@@ -231,18 +225,14 @@ class PlacementEngine {
   MoveDelta move_dispatch(const PlacementCandidate& c, int node, uint8_t to,
                           std::vector<std::pair<size_t, double>>* affected) const;
   void build_adjacency();
-  /// Candidate update for one WOA iteration: pure function of (the
-  /// candidate, the previous best, the per-candidate stream) — the unit the
-  /// pool parallelizes. Returns delta-eval count performed.
-  uint64_t evolve_candidate(PlacementCandidate& c, const PlacementCandidate& best,
-                            uint64_t stream, double a);
-  PlacementResult run_iterations(int iterations);
+  /// The Gray-code walk behind solve/reoptimize: every free-node assignment
+  /// from `start`, leaving the cheapest in best_.
+  PlacementResult enumerate(const std::vector<uint8_t>& start);
   void record_solve(const PlacementResult& r, const char* mode);
 
   PlacementDag dag_;
   HostTopology topology_;
   PlacementEngineConfig config_;
-  ThreadPool* pool_ = nullptr;
   telemetry::Telemetry* telemetry_ = nullptr;
 
   // Tables (rebuilt when dag/topology generations move).
@@ -267,13 +257,11 @@ class PlacementEngine {
   std::vector<AdjEdge> adj_out_;
   std::vector<AdjEdge> adj_in_;
 
-  // Optimizer state.
-  std::vector<PlacementCandidate> swarm_;
+  // Solver state.
   PlacementCandidate best_;
-  std::vector<size_t> free_nodes_;  ///< unpinned node indices (move targets)
-  double seed_cost_s_ = 0.0;        ///< cost of the seed plan this epoch
-  int absolute_iteration_ = 0;  ///< rng streams key off this, so reoptimize
-                                ///< epochs never replay solve() draws
+  PlacementCandidate walk_;         ///< the enumeration's moving plan
+  std::vector<uint32_t> free_nodes_;  ///< unpinned node indices (the digits)
+  uint64_t best_tables_ = 0;  ///< table_rebuilds_ the incumbent was found under
   uint64_t solves_total_ = 0;
 
   // Telemetry handles (null when disconnected).

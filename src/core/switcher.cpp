@@ -69,13 +69,13 @@ void flip_random_bits(std::vector<uint8_t>& bytes, double p, Rng& rng) {
 }
 
 // The CRC covers bytes [0,14) — everything before the CRC field — continued
-// over bytes [18, end): for a v1 frame that is exactly the payload, for a v2
-// frame the trace ids plus the payload. One formula for both versions, and
-// the trace context is integrity-protected.
+// over bytes [18, end): the trace ids, the session id (v3) and the payload.
+// One formula for both versions, and the trace context is
+// integrity-protected.
 uint32_t frame_crc(const std::vector<uint8_t>& frame) {
+  constexpr size_t kCrcEnd = 18;  ///< first byte after the CRC field
   const uint32_t crc_header = crc32c(frame.data(), 14);
-  return crc32c(frame.data() + kFrameHeaderSizeV1, frame.size() - kFrameHeaderSizeV1,
-                crc_header);
+  return crc32c(frame.data() + kCrcEnd, frame.size() - kCrcEnd, crc_header);
 }
 
 constexpr uint16_t kMigrationTopicId = 0xFFFF;
@@ -109,28 +109,12 @@ std::vector<uint8_t> frame_wrap(uint8_t direction, uint16_t topic_id,
   return f;
 }
 
-std::vector<uint8_t> frame_wrap_v1(uint8_t direction, uint16_t topic_id,
-                                   uint32_t seq, const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> f(kFrameHeaderSizeV1 + payload.size());
-  store_u16(f, 0, kFrameMagic);
-  f[2] = 1;
-  f[3] = direction;
-  store_u16(f, 4, topic_id);
-  store_u32(f, 6, seq);
-  store_u32(f, 10, static_cast<uint32_t>(payload.size()));
-  std::copy(payload.begin(), payload.end(), f.begin() + kFrameHeaderSizeV1);
-  store_u32(f, 14, frame_crc(f));
-  return f;
-}
-
 const char* frame_check(const std::vector<uint8_t>& frame) {
-  if (frame.size() < kFrameHeaderSizeV1) return "runt";
+  if (frame.size() < kFrameHeaderSize) return "runt";
   if (load_u16(frame, 0) != kFrameMagic) return "bad_magic";
   const uint8_t version = frame[2];
-  if (version == 0 || version > kFrameVersion) return "bad_version";
-  const size_t header = version == 1   ? kFrameHeaderSizeV1
-                        : version == 2 ? kFrameHeaderSize
-                                       : kFrameHeaderSizeV3;
+  if (version < 2 || version > kFrameVersion) return "bad_version";
+  const size_t header = version == 2 ? kFrameHeaderSize : kFrameHeaderSizeV3;
   if (frame.size() < header) return "runt";
   if (load_u32(frame, 10) != frame.size() - header) {
     return "length_mismatch";
@@ -142,24 +126,12 @@ const char* frame_check(const std::vector<uint8_t>& frame) {
 uint32_t frame_seq(const std::vector<uint8_t>& frame) { return load_u32(frame, 6); }
 
 size_t frame_header_size(const std::vector<uint8_t>& frame) {
-  if (frame.size() <= 2) return kFrameHeaderSize;
-  switch (frame[2]) {
-    case 1:
-      return kFrameHeaderSizeV1;
-    case 2:
-      return kFrameHeaderSize;
-    default:
-      return kFrameHeaderSizeV3;
-  }
+  return frame.size() <= 2 || frame[2] == 2 ? kFrameHeaderSize : kFrameHeaderSizeV3;
 }
 
-uint32_t frame_trace_id(const std::vector<uint8_t>& frame) {
-  return frame_header_size(frame) == kFrameHeaderSizeV1 ? 0 : load_u32(frame, 18);
-}
+uint32_t frame_trace_id(const std::vector<uint8_t>& frame) { return load_u32(frame, 18); }
 
-uint32_t frame_span_id(const std::vector<uint8_t>& frame) {
-  return frame_header_size(frame) == kFrameHeaderSizeV1 ? 0 : load_u32(frame, 22);
-}
+uint32_t frame_span_id(const std::vector<uint8_t>& frame) { return load_u32(frame, 22); }
 
 uint16_t frame_session_id(const std::vector<uint8_t>& frame) {
   return frame_header_size(frame) == kFrameHeaderSizeV3 ? load_u16(frame, 26) : 0;
@@ -266,13 +238,6 @@ void Switcher::deliver(const net::Packet& packet) {
     return;
   }
   const size_t header = frame_header_size(b);
-  if (header == kFrameHeaderSizeV1) {
-    // Legacy sender: deliverable, just without trace context.
-    ++stats_.frames_v1;
-    if (telemetry_ != nullptr) {
-      telemetry_->metrics().counter("net_frames_v1_total").inc();
-    }
-  }
   // The session term keeps each vehicle's stream independently sequenced: in
   // a fleet, vehicle 2's seq-5 scan must not dedupe against vehicle 1's.
   const uint64_t key = (static_cast<uint64_t>(frame_session_id(b)) << 32) |
@@ -299,7 +264,7 @@ void Switcher::deliver(const net::Packet& packet) {
   // Re-enter the sender's trace for everything this delivery causes: the
   // wire spans below and the subscriber enqueue both parent under the span
   // that published the message on the other host. A frame without context
-  // (v1, or sent outside a trace) deliberately clears the ambient context so
+  // (sent outside a trace) deliberately clears the ambient context so
   // unrelated work is not stitched in.
   telemetry::Tracer* tracer = telemetry_ != nullptr ? &telemetry_->tracer() : nullptr;
   telemetry::ScopedTraceContext scope(

@@ -37,17 +37,14 @@ namespace lgv::core {
 // The CRC32C covers bytes [0,14) plus everything after the CRC field — i.e.
 // the trace ids, the session id AND the payload — so any bit the channel
 // flips fails the check.
-// Older frames still decode: a v2 frame (26-byte header, no session id)
-// behaves as session 0, and a v1 frame (18-byte header, no trace ids either)
-// additionally carries no trace context and is counted in
-// net_frames_v1_total rather than rejected. frame_wrap emits v2 when
-// session_id == 0, so single-vehicle deployments produce byte-identical
-// frames to the previous build.
+// A v2 frame (26-byte header, no session id) decodes as session 0, and
+// frame_wrap emits v2 when session_id == 0, so single-vehicle deployments
+// produce byte-identical frames to the previous build. Any other version
+// byte is rejected.
 inline constexpr uint16_t kFrameMagic = 0x4C57;  ///< "WL" on the wire
 inline constexpr uint8_t kFrameVersion = 3;
 inline constexpr size_t kFrameHeaderSizeV3 = 28;
 inline constexpr size_t kFrameHeaderSize = 26;  ///< v2 (and the session-0 emission)
-inline constexpr size_t kFrameHeaderSizeV1 = 18;
 
 /// Wrap `payload` in a frame header + CRC, stamping the sender's trace
 /// context (0/0 = no active trace) and session (vehicle) id. session_id == 0
@@ -59,12 +56,7 @@ std::vector<uint8_t> frame_wrap(uint8_t direction, uint16_t topic_id,
                                 uint32_t trace_id = 0, uint32_t span_id = 0,
                                 uint16_t session_id = 0);
 
-/// Wrap `payload` in a legacy v1 frame (18-byte header, no trace context).
-/// Kept for the backward-compat tests and the wire fuzz harness.
-std::vector<uint8_t> frame_wrap_v1(uint8_t direction, uint16_t topic_id,
-                                   uint32_t seq, const std::vector<uint8_t>& payload);
-
-/// Integrity-check a received frame (any version). Returns nullptr when the
+/// Integrity-check a received frame (v2 or v3). Returns nullptr when the
 /// frame is intact, else the rejection cause label ("runt", "bad_magic",
 /// "bad_version", "length_mismatch", "crc") used for
 /// net_frames_rejected_total{cause=...}.
@@ -73,16 +65,15 @@ const char* frame_check(const std::vector<uint8_t>& frame);
 /// Read the sequence number of a verified frame.
 uint32_t frame_seq(const std::vector<uint8_t>& frame);
 
-/// Header size of a verified frame: kFrameHeaderSizeV1 for v1,
-/// kFrameHeaderSize for v2, kFrameHeaderSizeV3 otherwise. The payload
-/// starts here.
+/// Header size of a verified frame: kFrameHeaderSize for v2,
+/// kFrameHeaderSizeV3 otherwise. The payload starts here.
 size_t frame_header_size(const std::vector<uint8_t>& frame);
 
-/// Trace context of a verified frame; both return 0 for v1 frames.
+/// Trace context of a verified frame.
 uint32_t frame_trace_id(const std::vector<uint8_t>& frame);
 uint32_t frame_span_id(const std::vector<uint8_t>& frame);
 
-/// Session (vehicle) id of a verified frame; 0 for v1/v2 frames.
+/// Session (vehicle) id of a verified frame; 0 for v2 frames.
 uint16_t frame_session_id(const std::vector<uint8_t>& frame);
 
 /// Outcome of a chunked state migration over the reliable control link.
@@ -118,9 +109,6 @@ struct SwitcherStats {
   uint64_t rejected_crc = 0;
   uint64_t rejected_decode = 0;     ///< envelope/message decode threw
   uint64_t rejected_duplicate = 0;  ///< seq already delivered
-  /// Legacy v1 frames delivered without trace context (counted, not
-  /// rejected) — visibility into a mixed-version fleet.
-  uint64_t frames_v1 = 0;
   /// Valid frame older than the newest delivered on its (topic, direction):
   /// dropped so stale data never overwrites fresh (freshness over
   /// reliability). Counted in msg_stale_dropped_total, not frames_rejected.

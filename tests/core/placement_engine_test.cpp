@@ -3,10 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/host_topology.h"
 #include "core/offload_runtime.h"
 #include "core/profiler.h"
@@ -206,13 +207,6 @@ TEST(PlacementEngine, DeltaMatchesFullOnRandomMoves) {
 // ---------------------------------------------------------------------------
 // Search
 
-PlacementEngineConfig small_search() {
-  PlacementEngineConfig cfg;
-  cfg.candidates = 8;
-  cfg.iterations = 12;
-  return cfg;
-}
-
 std::vector<uint8_t> two_host_seed(const PlacementEngine& engine) {
   // Algorithm 1's shape: ECN-ish parallel nodes remote, rest local.
   const PlacementDag& dag = engine.dag();
@@ -229,14 +223,84 @@ std::vector<uint8_t> two_host_seed(const PlacementEngine& engine) {
   return seed;
 }
 
+/// Minimum of full_cost over every assignment of the free nodes (pinned nodes
+/// keep `a`'s host): the reference the exact solver must match.
+double brute_force_min(PlacementEngine& engine, std::vector<uint8_t>& a, size_t i) {
+  if (i == a.size()) return engine.full_cost(a);
+  if (engine.dag().pinned[i] != PlacementDag::kFreeHost) {
+    return brute_force_min(engine, a, i + 1);
+  }
+  double best = std::numeric_limits<double>::infinity();
+  for (int h = 0; h < engine.topology().host_count(); ++h) {
+    a[i] = static_cast<uint8_t>(h);
+    best = std::min(best, brute_force_min(engine, a, i + 1));
+  }
+  return best;
+}
+
+TEST(PlacementEngine, SolveMatchesBruteForceOnRandomDags) {
+  TestRng rng(0x0b7e5eed);
+  for (int trial = 0; trial < 200; ++trial) {
+    HostTopology topo = random_topology(rng);
+    const uint32_t hosts = static_cast<uint32_t>(topo.host_count());
+    if (rng.next01() < 0.25) {
+      // A dead link: every plan that routes an edge over it is unplaceable.
+      const int s = static_cast<int>(rng.index(hosts));
+      const int d = static_cast<int>((s + 1 + rng.index(hosts - 1)) % hosts);
+      topo.set_link(s, d, {0.0, 0.01, 0.0});
+    }
+    PlacementDag dag = random_dag(rng, 3 + rng.index(8), 2);
+    // At most 9 free nodes, and no more than the enumeration cap allows.
+    size_t free_cap = 0;
+    for (uint64_t plans = hosts; free_cap < 9 && plans <= PlacementEngine::kMaxPlans;
+         plans *= hosts) {
+      ++free_cap;
+    }
+    size_t free_nodes = 0;
+    for (uint8_t& pin : dag.pinned) {
+      if (pin == PlacementDag::kFreeHost && ++free_nodes > free_cap) pin = 0;
+    }
+    PlacementEngine engine(std::move(dag), std::move(topo), {});
+    const PlacementDag& d = engine.dag();
+    const size_t n = d.node_count();
+
+    // Two seeds that respect the pins: everything local, and random hosts.
+    std::vector<uint8_t> local(n, 0);
+    std::vector<uint8_t> scattered(n, 0);
+    uint64_t plans = 1;
+    for (size_t i = 0; i < n; ++i) {
+      if (d.pinned[i] != PlacementDag::kFreeHost) {
+        local[i] = scattered[i] = d.pinned[i];
+      } else {
+        scattered[i] = static_cast<uint8_t>(rng.index(hosts));
+        plans *= hosts;
+      }
+    }
+    const PlacementResult a = engine.solve(local);
+    const PlacementResult b = engine.solve(scattered);
+    std::vector<uint8_t> probe = local;
+    const double best = brute_force_min(engine, probe, 0);
+    const double tol = 1e-9 * std::max(1.0, std::fabs(best));
+    ASSERT_NEAR(a.cost_s, best, tol) << "trial " << trial;
+    ASSERT_NEAR(b.cost_s, best, tol) << "trial " << trial;
+    ASSERT_NEAR(engine.full_cost(a.assignment), a.cost_s, tol);
+    EXPECT_EQ(a.delta_evals, plans - 1) << "one move per plan after the seed";
+    for (size_t i = 0; i < n; ++i) {
+      if (d.pinned[i] != PlacementDag::kFreeHost) {
+        ASSERT_EQ(a.assignment[i], d.pinned[i]);
+        ASSERT_EQ(b.assignment[i], d.pinned[i]);
+      }
+    }
+  }
+}
+
 TEST(PlacementEngine, SolveNeverWorseThanSeedAndRespectsPins) {
   PlacementEngine engine(make_pipeline_dag(),
-                         HostTopology::three_tier(8, 48, 2.5e6, 0.005),
-                         small_search());
+                         HostTopology::three_tier(8, 48, 2.5e6, 0.005), {});
   const std::vector<uint8_t> seed = two_host_seed(engine);
   const PlacementResult r = engine.solve(seed);
   EXPECT_LE(r.cost_s, r.seed_cost_s + 1e-12);
-  EXPECT_GT(r.delta_evals, 0u);
+  EXPECT_EQ(r.delta_evals, 242u);  // 3^5 plans, one move each after the seed
   EXPECT_GT(r.modeled_solve_s, 0.0);
   const PlacementDag& dag = engine.dag();
   for (size_t i = 0; i < dag.node_count(); ++i) {
@@ -246,52 +310,36 @@ TEST(PlacementEngine, SolveNeverWorseThanSeedAndRespectsPins) {
   }
 }
 
-TEST(PlacementEngine, SearchIsDeterministicAtAnyWorkerCount) {
-  TestRng rng(0xabcdef12);
-  PlacementDag dag = random_dag(rng, 48, 2);
-  HostTopology topo = HostTopology::three_tier(8, 48, 2.0e6, 0.02);
-
-  std::vector<std::vector<uint8_t>> results;
-  std::vector<double> costs;
-  for (const size_t workers : {size_t{0}, size_t{1}, size_t{2}, size_t{4}, size_t{7}}) {
-    PlacementDag d = dag;       // engines own their inputs
-    HostTopology t = topo;
-    PlacementEngine engine(std::move(d), std::move(t), small_search());
-    std::unique_ptr<ThreadPool> pool;
-    if (workers > 0) {
-      pool = std::make_unique<ThreadPool>(workers);
-      engine.set_thread_pool(pool.get());
-    }
-    const PlacementResult r = engine.solve(two_host_seed(engine));
-    // A reoptimize epoch must be replay-stable too.
-    const PlacementResult r2 = engine.reoptimize();
-    results.push_back(r2.assignment);
-    costs.push_back(r2.cost_s);
-    EXPECT_LE(r2.cost_s, r.cost_s + 1e-12);  // continuation never regresses
-  }
-  for (size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i], results[0]) << "worker count variant " << i;
-    EXPECT_EQ(costs[i], costs[0]);  // bit-identical, not just close
-  }
-}
-
 TEST(PlacementEngine, ThreeTierBeatsTwoHostWhenGatewayIsCloser) {
-  // A constrained WLAN with WAN latency on top: the optimizer should find a
-  // plan at least as good as the two-host (all-remote-to-cloud) seed, and on
-  // this shape strictly better, by using the gateway tier.
-  PlacementEngineConfig cfg = small_search();
-  cfg.iterations = 24;
-  PlacementEngine engine(make_pipeline_dag(),
-                         HostTopology::three_tier(8, 48, 6.0e5, 0.08), cfg);
-  const PlacementResult r = engine.solve(two_host_seed(engine));
-  EXPECT_LE(r.cost_s, r.seed_cost_s + 1e-12);
+  // Healthy WLAN: the gateway is one cheap hop away, so every free node goes
+  // there — far cheaper than Algorithm 1's all-ECN-to-cloud seed.
+  PlacementEngine healthy(make_pipeline_dag(),
+                          HostTopology::three_tier(8, 48, 2.5e6, 0.005), {});
+  const PlacementResult r = healthy.solve(two_host_seed(healthy));
   EXPECT_TRUE(r.improved);
+  EXPECT_NEAR(r.seed_cost_s, 0.1169, 1e-4);
+  EXPECT_NEAR(r.cost_s, 0.0127, 1e-4);
+  const PlacementDag& dag = healthy.dag();
+  for (size_t i = 0; i < dag.node_count(); ++i) {
+    EXPECT_EQ(r.assignment[i], dag.pinned[i] == PlacementDag::kFreeHost ? 1 : 0)
+        << dag.names[i];
+  }
+
+  // Constrained WLAN, and congested WLAN behind a long WAN: the two 15 KB/s
+  // scan legs and the RTT penalty price every remote tier out, so the
+  // optimum keeps the whole pipeline on the vehicle.
+  for (HostTopology topo : {HostTopology::three_tier(8, 48, 6.0e5, 0.08),
+                            HostTopology::three_tier(8, 48, 1.0e6, 0.06, 0.05, 0.08)}) {
+    PlacementEngine engine(make_pipeline_dag(), std::move(topo), {});
+    const PlacementResult local = engine.solve(two_host_seed(engine));
+    EXPECT_NEAR(local.cost_s, 0.0877, 1e-4);
+    EXPECT_EQ(local.assignment, std::vector<uint8_t>(dag.node_count(), 0));
+  }
 }
 
 TEST(PlacementEngine, ReoptimizeRepricesAfterTopologyChange) {
   PlacementEngine engine(make_pipeline_dag(),
-                         HostTopology::three_tier(8, 48, 2.5e6, 0.005),
-                         small_search());
+                         HostTopology::three_tier(8, 48, 2.5e6, 0.005), {});
   engine.solve(two_host_seed(engine));
   const uint64_t built = engine.table_rebuilds();
   // Degrade the WLAN: the incumbent's cached cost is stale, reoptimize must
@@ -302,9 +350,31 @@ TEST(PlacementEngine, ReoptimizeRepricesAfterTopologyChange) {
   engine.topology().observe_link(2, 0, 2.0e5, 0.174, 0.05);
   const PlacementResult r = engine.reoptimize();
   EXPECT_EQ(engine.table_rebuilds(), built + 1);
+  EXPECT_EQ(r.delta_evals, 242u);
   // Price the returned assignment from scratch: must agree with the result.
   const double reference = engine.full_cost(r.assignment);
   EXPECT_NEAR(r.cost_s, reference, 1e-9 * std::max(1.0, reference));
+}
+
+TEST(PlacementEngine, ReoptimizeWithUnchangedTablesMakesNoMoves) {
+  PlacementEngine engine(make_pipeline_dag(),
+                         HostTopology::three_tier(8, 48, 2.5e6, 0.005), {});
+  const PlacementResult solved = engine.solve(two_host_seed(engine));
+  // An unchanged observation leaves the tables (and so the optimum) alone.
+  engine.topology().observe_link(0, 1, 2.5e6, 0.005, 0.0);
+  const PlacementResult r = engine.reoptimize();
+  EXPECT_EQ(r.delta_evals, 0u);
+  EXPECT_EQ(r.assignment, solved.assignment);
+  EXPECT_EQ(r.cost_s, solved.cost_s);
+  EXPECT_FALSE(r.improved);
+  EXPECT_EQ(engine.solves_total(), 2u);
+}
+
+TEST(PlacementEngine, PlanSpacePastTheCapThrows) {
+  TestRng rng(0xabcdef12);
+  PlacementEngine engine(random_dag(rng, 48, 2),
+                         HostTopology::three_tier(8, 48, 2.0e6, 0.02), {});
+  EXPECT_THROW(engine.solve(two_host_seed(engine)), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -341,7 +411,7 @@ TEST(PlacementEngine, ReoptimizeRespectsAlgorithm2Retreat) {
   EXPECT_TRUE(rt.set_vdp_placement(VdpPlacement::kLocal));
   for (NodeId id : all_nodes()) EXPECT_EQ(rt.host_of(id), Host::kLgv);
   const PlacementResult idle = rt.reoptimize_placement("while_local");
-  EXPECT_EQ(idle.iterations, 0);
+  EXPECT_EQ(idle.delta_evals, 0u);
   EXPECT_EQ(rt.placement_engine()->solves_total(), solves);
 
   // Re-offload restores the engine's incumbent multi-tier plan.
@@ -349,9 +419,30 @@ TEST(PlacementEngine, ReoptimizeRespectsAlgorithm2Retreat) {
   bool any_remote = false;
   for (NodeId id : all_nodes()) any_remote |= rt.host_of(id) != Host::kLgv;
   EXPECT_TRUE(any_remote);
+  // A re-trigger after the link model moved re-enumerates all 3^5 plans.
+  rt.profiler().record_rtt(1.0, 1.05);
   const PlacementResult r = rt.reoptimize_placement("re_trigger");
-  EXPECT_GT(r.iterations, 0);
+  EXPECT_EQ(r.delta_evals, 242u);
   EXPECT_EQ(rt.placement_engine()->solves_total(), solves + 1);
+}
+
+TEST(PlacementEngine, LiveModelPricesLinkCapacityNotStreamRate) {
+  // One second of the 5 Hz scan stream plus an RTT sample, as a lab mission
+  // sees at t = 1 s. The WLAN still carries its full rate, so the scan
+  // consumers stay off the vehicle; pricing the links at the stream's
+  // achieved 5 Hz × 3000 B would overload them and pull everything home.
+  OffloadRuntime rt(three_tier_plan("3tier", 24, WorkloadKind::kNavigationWithMap),
+                    {0.0, 0.0});
+  rt.apply_initial_placement();
+  for (int i = 0; i < 5; ++i) {
+    rt.clock().advance(0.2);
+    rt.profiler().on_stream_packet(rt.clock().now());
+  }
+  rt.profiler().record_rtt(0.9, 0.93);
+  rt.reoptimize_placement("adjust_epoch");
+  for (NodeId id : {NodeId::kLocalization, NodeId::kCostmapGen, NodeId::kPathTracking}) {
+    EXPECT_NE(rt.host_of(id), Host::kLgv) << node_name(id);
+  }
 }
 
 TEST(PlacementEngine, PipelineDagMatchesNodeIds) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/serialization.h"
 #include "msg/messages.h"
 
@@ -259,17 +260,6 @@ TEST(WireFrame, V2CarriesCrcProtectedTraceContext) {
   EXPECT_STREQ(frame_check(flipped), "crc");
 }
 
-TEST(WireFrame, V1FramesStillVerifyWithoutTraceContext) {
-  const std::vector<uint8_t> payload = {1, 2, 3, 4};
-  const std::vector<uint8_t> v1 = frame_wrap_v1(1, 7, 42, payload);
-  EXPECT_EQ(v1.size(), kFrameHeaderSizeV1 + payload.size());
-  EXPECT_EQ(frame_check(v1), nullptr);  // decodes, not rejected
-  EXPECT_EQ(frame_header_size(v1), kFrameHeaderSizeV1);
-  EXPECT_EQ(frame_seq(v1), 42u);
-  EXPECT_EQ(frame_trace_id(v1), 0u);  // no context to propagate
-  EXPECT_EQ(frame_span_id(v1), 0u);
-}
-
 TEST(WireFrame, EveryRejectionCauseDetected) {
   const std::vector<uint8_t> payload(32, 0xAB);
   const std::vector<uint8_t> good = frame_wrap(0, 1, 1, payload);
@@ -424,24 +414,30 @@ TEST_F(SwitcherTest, SendStampsConfiguredSessionId) {
   EXPECT_EQ(switcher.stats().frames_rejected, 0u);
 }
 
-TEST_F(SwitcherTest, V1FramesDeliveredAndCountedNotRejected) {
-  // Backward compatibility: a peer still speaking the pre-trace-context
-  // frame layout interoperates — its frames deliver and are *counted*, so a
-  // fleet rollout can watch the old version drain out of the air.
-  telemetry::Telemetry telemetry;
-  telemetry.set_clock(&clock);
-  switcher.set_telemetry(&telemetry);
+TEST_F(SwitcherTest, V1FramesRejectedAsBadVersion) {
+  // The legacy layout: an 18-byte header without trace ids, its CRC over
+  // bytes [0, 14) continued over the payload. No peer emits it any more, so
+  // it is a version this build does not speak: dropped and counted, never
+  // delivered.
   int got = 0;
   graph.subscribe<msg::TwistMsg>("lgv_node", "cmd_back",
                                  [&](const msg::TwistMsg&) { ++got; });
   const auto env = make_envelope("cmd_back", "lgv_node",
                                  serialize_to_bytes(msg::TwistMsg{}));
-  switcher.downlink().send(frame_wrap_v1(1, 3, 0, env), clock.now());
+  const std::vector<uint8_t> v2 = frame_wrap(1, 3, 0, env);
+  std::vector<uint8_t> v1(18 + env.size());
+  std::copy(v2.begin(), v2.begin() + 18, v1.begin());
+  std::copy(env.begin(), env.end(), v1.begin() + 18);
+  v1[2] = 1;
+  const uint32_t crc = crc32c(v1.data() + 18, env.size(), crc32c(v1.data(), 14));
+  for (int b = 0; b < 4; ++b) v1[14 + b] = static_cast<uint8_t>(crc >> (8 * b));
+  EXPECT_STREQ(frame_check(v1), "bad_version");
+
+  switcher.downlink().send(v1, clock.now());
   pump_until(0.5);
-  EXPECT_EQ(got, 1);
-  EXPECT_EQ(switcher.stats().frames_v1, 1u);
-  EXPECT_EQ(switcher.stats().frames_rejected, 0u);
-  EXPECT_EQ(telemetry.metrics().counter("net_frames_v1_total").value(), 1u);
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(switcher.stats().rejected_version, 1u);
+  EXPECT_EQ(switcher.stats().frames_rejected, 1u);
 }
 
 TEST_F(SwitcherTest, WireDeliveryStitchesSenderContext) {

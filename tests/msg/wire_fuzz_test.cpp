@@ -181,26 +181,23 @@ TEST(WireFuzz, TimingReportSurvivesMutations) {
 }
 
 TEST(WireFuzz, FrameHeadersAllVersionsSurviveMutations) {
-  // The integrity frame itself, in every wire layout: the 18-byte v1 header
-  // (no trace context), the 26-byte v2 header (CRC-covered trace ids) and
-  // the 28-byte v3 header (CRC-covered session id). frame_check must
-  // classify every mutation — never crash, never read past the buffer — and
-  // must pass all clean encodings.
+  // The integrity frame itself, in every wire layout: the 26-byte v2 header
+  // (CRC-covered trace ids) and the 28-byte v3 header (CRC-covered session
+  // id). frame_check must classify every mutation — never crash, never read
+  // past the buffer — and must pass all clean encodings.
   const std::vector<uint8_t> payload = serialize_to_bytes(make_scan());
   const std::vector<uint8_t> v3 = core::frame_wrap(
       0, 5, 1234, payload, /*trace_id=*/77, /*span_id=*/3010, /*session_id=*/42);
   const std::vector<uint8_t> v2 =
       core::frame_wrap(0, 5, 1234, payload, /*trace_id=*/77, /*span_id=*/3010);
-  const std::vector<uint8_t> v1 = core::frame_wrap_v1(0, 5, 1234, payload);
   ASSERT_EQ(core::frame_check(v3), nullptr);
   ASSERT_EQ(core::frame_check(v2), nullptr);
-  ASSERT_EQ(core::frame_check(v1), nullptr);
   ASSERT_EQ(core::frame_session_id(v3), 42u);
 
   Rng rng(0xF00C);
   int rejected = 0;
   int accepted = 0;
-  for (const std::vector<uint8_t>* clean : {&v3, &v2, &v1}) {
+  for (const std::vector<uint8_t>* clean : {&v3, &v2}) {
     for (const Mutation m :
          {Mutation::kBitFlips, Mutation::kTruncate, Mutation::kSplice}) {
       for (int iter = 0; iter < kItersPerMutation; ++iter) {
@@ -213,8 +210,7 @@ TEST(WireFuzz, FrameHeadersAllVersionsSurviveMutations) {
         // A frame that still verifies must expose a consistent header view.
         const size_t header = core::frame_header_size(buf);
         ASSERT_TRUE(header == core::kFrameHeaderSizeV3 ||
-                    header == core::kFrameHeaderSize ||
-                    header == core::kFrameHeaderSizeV1);
+                    header == core::kFrameHeaderSize);
         ASSERT_LE(header, buf.size());
         (void)core::frame_trace_id(buf);
         (void)core::frame_span_id(buf);
