@@ -150,6 +150,46 @@ void BM_CostmapUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_CostmapUpdate);
 
+// The costmap's layers alone, on the lab grid (Arg 0) and the office grid
+// (Arg 1): ground-truth static map plus one scan from the start pose.
+struct CostmapFixture {
+  msg::OccupancyGridMsg map;
+  perception::Costmap2D costmap;
+
+  explicit CostmapFixture(const sim::Scenario& s)
+      : map(perception::OccupancyGrid::from_binary(s.world.frame(), s.world.grid())
+                .to_msg(0.0)),
+        costmap(s.world.frame().origin, s.world.width_m(), s.world.height_m()) {
+    costmap.set_static_map(map);
+    sim::Lidar lidar{sim::LidarConfig{}, 7};
+    costmap.update(s.start, lidar.scan(s.world, s.start, 0.0));
+  }
+};
+
+CostmapFixture& costmap_fixture(benchmark::State& state) {
+  static CostmapFixture lab(sim::make_lab_scenario());
+  static CostmapFixture office(sim::make_office_scenario());
+  const bool is_lab = state.range(0) == 0;
+  state.SetLabel(is_lab ? "lab" : "office");
+  return is_lab ? lab : office;
+}
+
+void BM_CostmapInflate(benchmark::State& state) {
+  CostmapFixture& fx = costmap_fixture(state);
+  for (auto _ : state) benchmark::DoNotOptimize(fx.costmap.inflate());
+}
+BENCHMARK(BM_CostmapInflate)->Arg(0)->Arg(1);
+
+void BM_CostmapSetStaticMap(benchmark::State& state) {
+  CostmapFixture& fx = costmap_fixture(state);
+  for (auto _ : state) {
+    fx.costmap.set_static_map(fx.map);
+    benchmark::DoNotOptimize(fx.costmap);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CostmapSetStaticMap)->Arg(0)->Arg(1);
+
 void BM_TrajectoryRollout(benchmark::State& state) {
   Fixture& fx = fixture();
   control::RolloutConfig cfg;

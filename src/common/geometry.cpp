@@ -1,6 +1,5 @@
 #include "common/geometry.h"
 
-#include <algorithm>
 #include <numbers>
 #include <ostream>
 
@@ -20,31 +19,6 @@ double distance(const Point2D& a, const Point2D& b) { return (a - b).norm(); }
 
 double distance(const Pose2D& a, const Pose2D& b) {
   return distance(a.position(), b.position());
-}
-
-std::vector<CellIndex> bresenham_line(CellIndex from, CellIndex to) {
-  std::vector<CellIndex> cells;
-  int dx = std::abs(to.x - from.x);
-  int dy = std::abs(to.y - from.y);
-  cells.reserve(static_cast<size_t>(std::max(dx, dy)) + 1);
-  const int sx = from.x < to.x ? 1 : -1;
-  const int sy = from.y < to.y ? 1 : -1;
-  int err = dx - dy;
-  CellIndex cur = from;
-  while (true) {
-    cells.push_back(cur);
-    if (cur == to) break;
-    const int e2 = 2 * err;
-    if (e2 > -dy) {
-      err -= dy;
-      cur.x += sx;
-    }
-    if (e2 < dx) {
-      err += dx;
-      cur.y += sy;
-    }
-  }
-  return cells;
 }
 
 double path_length(const std::vector<Point2D>& pts) {

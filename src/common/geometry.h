@@ -3,6 +3,8 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
+#include <cstdlib>
 #include <iosfwd>
 #include <vector>
 
@@ -113,8 +115,34 @@ struct BoundingBox {
   double height() const { return max.y - min.y; }
 };
 
-/// Cells visited by a ray between two grid cells (integer Bresenham walk).
-std::vector<CellIndex> bresenham_line(CellIndex from, CellIndex to);
+/// Walks the cells of the integer Bresenham line from `from` to `to`, both
+/// ends included, in order, calling `visit(cell, last)` on each; `last` is
+/// true for `to` alone. Allocates nothing; returns the number of cells.
+template <typename Visit>
+size_t walk_line(CellIndex from, CellIndex to, Visit&& visit) {
+  const int dx = std::abs(to.x - from.x);
+  const int dy = std::abs(to.y - from.y);
+  const int sx = from.x < to.x ? 1 : -1;
+  const int sy = from.y < to.y ? 1 : -1;
+  int err = dx - dy;
+  CellIndex cur = from;
+  size_t cells = 1;
+  while (cur != to) {
+    visit(cur, false);
+    const int e2 = 2 * err;
+    if (e2 > -dy) {
+      err -= dy;
+      cur.x += sx;
+    }
+    if (e2 < dx) {
+      err += dx;
+      cur.y += sy;
+    }
+    ++cells;
+  }
+  visit(cur, true);
+  return cells;
+}
 
 /// Total arc length of a polyline.
 double path_length(const std::vector<Point2D>& pts);

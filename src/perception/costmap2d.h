@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/geometry.h"
 #include "common/grid.h"
@@ -38,6 +39,8 @@ struct CostmapUpdateStats {
 class Costmap2D {
  public:
   Costmap2D() = default;
+  /// At most 65535 cells per side (the inflation queue packs coordinates
+  /// into 16 bits); larger maps throw std::length_error.
   Costmap2D(Point2D origin, double width_m, double height_m, CostmapConfig config = {});
 
   const CostmapConfig& config() const { return config_; }
@@ -60,15 +63,29 @@ class Costmap2D {
   /// Obstacle layer + inflation update from one scan at `pose`.
   CostmapUpdateStats update(const Pose2D& pose, const msg::LaserScan& scan);
 
-  /// Re-run inflation from scratch (also called by update()).
+  /// Re-run inflation from scratch (also called by update()). Returns the
+  /// number of cells the wavefront dequeued.
   size_t inflate();
 
   msg::OccupancyGridMsg to_msg(double stamp) const;
 
  private:
+  /// Per axis, the distinct values of |world(a + k) - world(a)| between
+  /// cell centres a and a + k, |k| <= max_steps_ (docs/kernels.md,
+  /// "Costmap inflation").
+  struct AxisClasses {
+    std::vector<uint16_t> of;  ///< class of (a, k) at [a * (2 * max_steps_ + 1) + k + max_steps_]
+    std::vector<double> value; ///< the exact |Δ| of each class
+  };
+  AxisClasses classify_axis(int cells, bool y_axis) const;
+
   void mark_and_clear(const Pose2D& pose, const msg::LaserScan& scan,
                       CostmapUpdateStats& stats);
   uint8_t inflation_cost(double distance_m) const;
+  /// Runs the radius test and inflation_cost for the class pair (cx, cy)
+  /// and memoizes the result: kOutsideRadius when the distance exceeds the
+  /// inflation radius, else the cost.
+  uint8_t fill_pair(uint16_t cx, uint16_t cy);
 
   GridFrame frame_;
   CostmapConfig config_;
@@ -77,6 +94,11 @@ class Costmap2D {
   /// beam has raytraced through, kCostNoInformation where never observed.
   Grid<uint8_t> obstacle_layer_;
   Grid<uint8_t> cost_;           ///< combined + inflated master grid
+  int max_steps_ = 0;            ///< per-axis reach of one inflation source, in cells
+  AxisClasses x_classes_;        ///< built by the first inflate()
+  AxisClasses y_classes_;
+  /// fill_pair's memo, [cx * y_classes_.value.size() + cy], filled on first use.
+  std::vector<uint8_t> pair_memo_;
 };
 
 }  // namespace lgv::perception

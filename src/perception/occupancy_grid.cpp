@@ -174,13 +174,10 @@ size_t OccupancyGrid::integrate_scan(const Pose2D& pose, const msg::LaserScan& s
     const double reach = hit ? r : scan.range_max;
     const double angle = pose.theta + scan.angle_of(i);
     const Point2D end{pose.x + std::cos(angle) * reach, pose.y + std::sin(angle) * reach};
-    const CellIndex end_cell = frame_.world_to_cell(end);
-    const auto cells = bresenham_line(origin_cell, end_cell);
-    // Free space along the beam (excluding the endpoint when it is a hit).
-    const size_t n_free = cells.size() - (hit ? 1 : 0);
-    for (size_t k = 0; k < n_free; ++k) update_cell(cells[k], config_.log_odds_miss);
-    if (hit) update_cell(end_cell, config_.log_odds_hit);
-    touched += cells.size();
+    // Free space along the beam, and the endpoint when it is a hit.
+    touched += walk_line(origin_cell, frame_.world_to_cell(end), [&](CellIndex c, bool last) {
+      update_cell(c, last && hit ? config_.log_odds_hit : config_.log_odds_miss);
+    });
   }
   return touched;
 }

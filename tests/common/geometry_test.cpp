@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 namespace lgv {
 namespace {
@@ -84,21 +85,35 @@ TEST(Pose2D, TransformRotates) {
   EXPECT_NEAR(p.y, 1.0, 1e-12);
 }
 
+// The cells walk_line visits, in order; checks that `last` marks the final
+// cell alone and that the returned count matches.
+std::vector<CellIndex> line_cells(CellIndex from, CellIndex to) {
+  std::vector<CellIndex> cells;
+  size_t lasts = 0;
+  const size_t count = walk_line(from, to, [&](CellIndex c, bool last) {
+    cells.push_back(c);
+    if (last) ++lasts;
+  });
+  EXPECT_EQ(count, cells.size());
+  EXPECT_EQ(lasts, 1u);
+  return cells;
+}
+
 TEST(Bresenham, HorizontalLine) {
-  const auto cells = bresenham_line({0, 0}, {4, 0});
+  const auto cells = line_cells({0, 0}, {4, 0});
   ASSERT_EQ(cells.size(), 5u);
   for (int i = 0; i <= 4; ++i) EXPECT_EQ(cells[static_cast<size_t>(i)], (CellIndex{i, 0}));
 }
 
 TEST(Bresenham, DiagonalLine) {
-  const auto cells = bresenham_line({0, 0}, {3, 3});
+  const auto cells = line_cells({0, 0}, {3, 3});
   ASSERT_EQ(cells.size(), 4u);
   EXPECT_EQ(cells.front(), (CellIndex{0, 0}));
   EXPECT_EQ(cells.back(), (CellIndex{3, 3}));
 }
 
 TEST(Bresenham, SingleCell) {
-  const auto cells = bresenham_line({2, 2}, {2, 2});
+  const auto cells = line_cells({2, 2}, {2, 2});
   ASSERT_EQ(cells.size(), 1u);
 }
 
@@ -107,7 +122,7 @@ TEST(Bresenham, EndpointsAlwaysIncludedAndConnected) {
   for (int x = -6; x <= 6; x += 3) {
     for (int y = -6; y <= 6; y += 2) {
       const CellIndex to{x, y};
-      const auto cells = bresenham_line(from, to);
+      const auto cells = line_cells(from, to);
       ASSERT_FALSE(cells.empty());
       EXPECT_EQ(cells.front(), from);
       EXPECT_EQ(cells.back(), to);

@@ -30,10 +30,12 @@ done
 # protocol in OffloadRuntime, Algorithm 2 hysteresis edges, the Switcher
 # direction/accounting fixes, the link telemetry fixes, and the end-to-end
 # fallback missions — plus the wire-integrity layer (frame CRC/sequencing,
-# adversarial deserialization, the structure-aware fuzz corpus).
+# adversarial deserialization, the structure-aware fuzz corpus) and the
+# multi-threaded fleet paths (shared WorkerPool, pool faults and failover).
 GTEST_FILTER='FaultSchedule*:FaultInjector*:FaultInjection*:OffloadRuntime*'
 GTEST_FILTER+=':Algorithm2*:Controller*:Switcher*:UdpLink*:TcpLink*'
 GTEST_FILTER+=':WireFrame*:WireFuzz*:WireAdversarial*:Crc32c*'
+GTEST_FILTER+=':Fleet*:WorkerPool*:PoolFailover*'
 
 validate_artifacts() {
   python3 - "$1/BENCH_fault_injection.json" \

@@ -7,8 +7,9 @@
 #
 # Fails (non-zero exit) if either artifact is missing/unparseable, if the
 # trace lacks the expected lanes and decision markers, or if any required
-# metric family is absent. With --tsan, also builds the telemetry/thread-pool
-# tests under ThreadSanitizer (LGV_SANITIZE=thread) and runs them.
+# metric family is absent. With --tsan, also builds the telemetry, thread-pool
+# and fleet (shared WorkerPool, pool failover) tests under ThreadSanitizer
+# (LGV_SANITIZE=thread) and runs them.
 #
 # Usage: tools/run_mission_trace.sh [build-dir] [--tsan]
 set -euo pipefail
@@ -81,7 +82,7 @@ if [[ "$RUN_TSAN" == "1" ]]; then
   cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DLGV_SANITIZE=thread
   cmake --build "$TSAN_DIR" --target lgv_tests -j
   "$TSAN_DIR/tests/lgv_tests" \
-    --gtest_filter='Telemetry*:Tracer*:Metrics*:Counter*:Gauge*:Histogram*:ThreadPool*'
+    --gtest_filter='Telemetry*:Tracer*:Metrics*:Counter*:Gauge*:Histogram*:ThreadPool*:Fleet*:WorkerPool*:PoolFailover*'
   echo "TSan pass OK"
 fi
 
