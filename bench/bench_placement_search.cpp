@@ -1,20 +1,16 @@
 // Placement-search benchmark (docs/placement.md): the headline artifact for
-// the multi-tier placement engine. Three measured claims, each gated by
+// the multi-tier placement engine. Two measured claims, each gated by
 // tools/check_bench_regression against bench/baselines:
 //
-//  1. Incremental evaluation — preview_move (O(degree) re-pricing of one
-//     node move) vs full_cost (O(|DAG| + |E| + H²) reference) across random
-//     layered DAGs of 64–512 nodes on the three-tier topology. Acceptance:
-//     ≥ 20× per-evaluation speedup at every size.
+//  1. Solve cost — the exact solve of make_pipeline_dag(), the only DAG the
+//     runtime places (7 nodes, 2 pinned: 3^5 = 243 plans, each priced in
+//     full), priced by the engine's deterministic cycle model on the vehicle
+//     platform (what an adjustment epoch actually pays on the RPi).
+//     Acceptance: < 10 ms modeled; a reoptimize() after a real link change
+//     costs no more than the solve, and one with unchanged tables prices no
+//     plans.
 //
-//  2. Solve cost — the exact solve of make_pipeline_dag(), the only DAG the
-//     runtime places (7 nodes, 2 pinned: 3^5 plans, 242 moves), priced by
-//     the engine's deterministic cycle model on the vehicle platform (what
-//     an adjustment epoch actually pays on the RPi). Acceptance: < 10 ms
-//     modeled; a reoptimize() after a real link change costs no more than
-//     the solve, and one with unchanged tables makes no moves.
-//
-//  3. Plan quality — the Fig. 2 pipeline DAG on three three-tier scenarios
+//  2. Plan quality — the Fig. 2 pipeline DAG on three three-tier scenarios
 //     (healthy WLAN, constrained WLAN, congested WLAN + long WAN). The seed
 //     is Algorithm 1's two-host answer (ECN nodes → cloud); `alg1_gap` is
 //     how much costlier that seed is than the optimum. Acceptance: the
@@ -26,11 +22,9 @@
 // Artifacts: BENCH_placement_search.json (the gated numbers). Exit status is
 // the acceptance verdict, so CI's placement-bench smoke job fails loudly.
 //
-// Usage: bench_placement_search [--smoke]   (--smoke: fewer timing reps,
-// same sizes, same acceptance gates)
-#include <algorithm>
+// Usage: bench_placement_search [--smoke]   (every leg is deterministic;
+// --smoke only tags the JSON's mode)
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -38,109 +32,17 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/rng.h"
 #include "core/host_topology.h"
 #include "core/placement_engine.h"
 #include "platform/platform_spec.h"
 
 using namespace lgv;
 using core::HostTopology;
-using core::PlacementCandidate;
 using core::PlacementDag;
 using core::PlacementEngine;
 using core::PlacementResult;
 
 namespace {
-
-struct BenchRng {
-  uint64_t state;
-  explicit BenchRng(uint64_t seed) : state(seed) {}
-  double next01() {
-    state = splitmix64(state);
-    return static_cast<double>(state >> 11) * 0x1.0p-53;
-  }
-  uint32_t index(uint32_t n) { return static_cast<uint32_t>(next01() * n) % n; }
-};
-
-/// Layered random DAG (edges point forward, fan-in 3 per node — the shape of
-/// a sensor-fusion pipeline scaled past the paper's six nodes).
-PlacementDag random_dag(BenchRng& rng, size_t nodes) {
-  PlacementDag d;
-  for (size_t i = 0; i < nodes; ++i) {
-    std::string name = "n";
-    name += std::to_string(i);
-    const uint8_t pin = i == 0 ? uint8_t{0} : PlacementDag::kFreeHost;
-    d.add_node(std::move(name), 1e5 + rng.next01() * 5e6,
-               rng.next01() < 0.3 ? rng.next01() * 3e7 : 0.0, pin);
-  }
-  for (size_t i = 1; i < nodes; ++i) {
-    for (int e = 0; e < 3; ++e) {
-      d.add_edge(static_cast<int>(rng.index(static_cast<uint32_t>(i))),
-                 static_cast<int>(i), 32.0 + rng.next01() * 8192.0,
-                 0.5 + rng.next01() * 9.5);
-    }
-  }
-  return d;
-}
-
-struct IncrementalRow {
-  size_t nodes = 0;
-  size_t edges = 0;
-  double preview_ns = 0.0;
-  double full_ns = 0.0;
-  double speedup = 0.0;
-};
-
-/// Wall-clock per-evaluation cost of preview_move vs full_cost on one engine.
-IncrementalRow measure_incremental(size_t nodes, int reps, uint64_t seed) {
-  BenchRng rng(seed);
-  PlacementDag dag = random_dag(rng, nodes);
-  PlacementEngine engine(std::move(dag), HostTopology::three_tier(8, 48, 2.5e6, 0.005),
-                         {});
-  const uint32_t hosts = static_cast<uint32_t>(engine.topology().host_count());
-  const size_t n = engine.dag().node_count();
-
-  std::vector<uint8_t> assignment(n, 0);
-  for (size_t i = 1; i < n; ++i) assignment[i] = static_cast<uint8_t>(rng.index(hosts));
-  PlacementCandidate c = engine.make_candidate(assignment);
-
-  // Pre-draw the move set so the timed loops measure pricing, not RNG.
-  constexpr size_t kMoves = 4096;
-  std::vector<std::pair<int, uint8_t>> moves(kMoves);
-  for (auto& m : moves) {
-    m.first = 1 + static_cast<int>(rng.index(static_cast<uint32_t>(n - 1)));
-    m.second = static_cast<uint8_t>(rng.index(hosts));
-  }
-
-  double sink = 0.0;
-  const int preview_loops = reps;
-  const double preview_s = bench::time_median(5, [&] {
-    for (int l = 0; l < preview_loops; ++l) {
-      for (const auto& m : moves) {
-        sink += engine.preview_move(c, m.first, m.second).total();
-      }
-    }
-  });
-
-  // full_cost walks the whole DAG; fewer evaluations give the same per-op
-  // resolution at a fraction of the wall time.
-  const size_t full_evals = std::max<size_t>(64, kMoves / 16);
-  const double full_s = bench::time_median(5, [&] {
-    for (size_t i = 0; i < full_evals; ++i) {
-      assignment[moves[i % kMoves].first] = moves[i % kMoves].second;
-      sink += engine.full_cost(assignment);
-    }
-  });
-  if (sink == 1e308) std::abort();  // keep the evaluations honest
-
-  IncrementalRow row;
-  row.nodes = n;
-  row.edges = engine.dag().edges.size();
-  row.preview_ns = preview_s / static_cast<double>(kMoves * preview_loops) * 1e9;
-  row.full_ns = full_s / static_cast<double>(full_evals) * 1e9;
-  row.speedup = row.preview_ns > 0.0 ? row.full_ns / row.preview_ns : 0.0;
-  return row;
-}
 
 /// Algorithm 1's two-host shape on an N-host topology: ECN nodes (the ones
 /// with parallelizable cycles) on the cloud host, everything else local.
@@ -180,29 +82,18 @@ ScenarioRow run_scenario(const std::string& name, HostTopology topology) {
   return row;
 }
 
-void write_json(const std::vector<IncrementalRow>& rows, size_t solve_nodes,
-                const PlacementResult& solve, double reoptimize_modeled_s,
-                uint64_t unchanged_reoptimize_moves,
-                const std::vector<ScenarioRow>& scenarios, bool smoke, bool speedup_ok,
-                bool solve_ok, bool never_worse, bool improves_some) {
+void write_json(size_t solve_nodes, const PlacementResult& solve,
+                double reoptimize_modeled_s, uint64_t unchanged_reoptimize_plans,
+                const std::vector<ScenarioRow>& scenarios, bool smoke, bool solve_ok,
+                bool never_worse, bool improves_some) {
   std::ofstream f("BENCH_placement_search.json");
   f << "{\n  \"bench\": \"placement_search\",\n";
   f << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n";
-  f << "  \"incremental\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const IncrementalRow& r = rows[i];
-    f << "    {\"nodes\": " << r.nodes << ", \"edges\": " << r.edges
-      << ", \"preview_ns\": " << r.preview_ns << ", \"full_ns\": " << r.full_ns
-      << ", \"speedup\": " << r.speedup << "}"
-      << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  f << "  ],\n";
   f << "  \"solve\": {\"nodes\": " << solve_nodes
     << ", \"modeled_solve_ms\": " << solve.modeled_solve_s * 1e3
     << ", \"reoptimize_modeled_ms\": " << reoptimize_modeled_s * 1e3
-    << ", \"unchanged_reoptimize_moves\": " << unchanged_reoptimize_moves
-    << ", \"delta_evals\": " << solve.delta_evals
-    << ", \"full_evals\": " << solve.full_evals << "},\n";
+    << ", \"unchanged_reoptimize_plans\": " << unchanged_reoptimize_plans
+    << ", \"plans\": " << solve.plans << "},\n";
   f << "  \"scenarios\": [\n";
   for (size_t i = 0; i < scenarios.size(); ++i) {
     const ScenarioRow& s = scenarios[i];
@@ -213,7 +104,6 @@ void write_json(const std::vector<IncrementalRow>& rows, size_t solve_nodes,
       << (i + 1 < scenarios.size() ? ",\n" : "\n");
   }
   f << "  ],\n  \"acceptance\": {\n";
-  f << "    \"incremental_speedup_20x\": " << (speedup_ok ? "true" : "false") << ",\n";
   f << "    \"solve_under_10ms_modeled\": " << (solve_ok ? "true" : "false") << ",\n";
   f << "    \"never_worse_than_alg1\": " << (never_worse ? "true" : "false") << ",\n";
   f << "    \"improves_some_three_tier\": " << (improves_some ? "true" : "false")
@@ -230,54 +120,33 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
 
-  bench::print_title(
-      std::string("Multi-tier placement: incremental kernel + exact enumeration") +
-      (smoke ? " [smoke]" : ""));
+  bench::print_title(std::string("Multi-tier placement: exact enumeration") +
+                     (smoke ? " [smoke]" : ""));
 
-  // ---- 1. incremental vs full evaluation ---------------------------------
-  bench::print_subtitle("incremental preview_move vs full re-pricing (wall clock)");
-  const std::vector<size_t> sizes = {64, 128, 256, 512};
-  std::vector<IncrementalRow> rows;
-  std::printf("%8s %8s %14s %14s %10s\n", "nodes", "edges", "preview", "full",
-              "speedup");
-  for (const size_t nodes : sizes) {
-    rows.push_back(measure_incremental(nodes, smoke ? 6 : 16, 0xbe9c4 + nodes));
-    const IncrementalRow& r = rows.back();
-    std::printf("%8zu %8zu %11.1f ns %11.1f ns %9.1fx\n", r.nodes, r.edges,
-                r.preview_ns, r.full_ns, r.speedup);
-  }
-  const double min_speedup =
-      std::min_element(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-        return a.speedup < b.speedup;
-      })->speedup;
-  const bool speedup_ok = min_speedup >= 20.0;
-
-  // ---- 2. modeled solve cost on the vehicle ------------------------------
+  // ---- 1. modeled solve cost on the vehicle ------------------------------
   bench::print_subtitle("pipeline DAG exact solve, modeled on the vehicle (deterministic)");
   PlacementEngine pipeline(core::make_pipeline_dag(),
                            HostTopology::three_tier(8, 48, 2.5e6, 0.005), {});
   const size_t solve_nodes = pipeline.dag().node_count();
   const PlacementResult solve = pipeline.solve(alg1_seed(pipeline));
-  // Same tables: the incumbent stands, nothing is evaluated.
+  // Same tables: the incumbent stands, nothing is priced.
   const PlacementResult unchanged = pipeline.reoptimize();
   // A real link change (the WLAN degrades): the tables rebuild and the
   // re-trigger re-enumerates from the incumbent.
   pipeline.topology().observe_link(0, 1, 1.2e6, 0.04, 0.01);
   pipeline.topology().observe_link(1, 0, 1.2e6, 0.04, 0.01);
   const PlacementResult reopt = pipeline.reoptimize();
-  std::printf("solve       (%zu nodes): %8.3f ms modeled  (%" PRIu64
-              " moves, %" PRIu64 " full evals)\n",
-              solve_nodes, solve.modeled_solve_s * 1e3, solve.delta_evals,
-              solve.full_evals);
-  std::printf("reoptimize  (link moved): %7.3f ms modeled  (%" PRIu64 " moves)\n",
-              reopt.modeled_solve_s * 1e3, reopt.delta_evals);
-  std::printf("reoptimize  (unchanged):  %7.3f ms modeled  (%" PRIu64 " moves)\n",
-              unchanged.modeled_solve_s * 1e3, unchanged.delta_evals);
+  std::printf("solve       (%zu nodes): %8.3f ms modeled  (%" PRIu64 " plans)\n",
+              solve_nodes, solve.modeled_solve_s * 1e3, solve.plans);
+  std::printf("reoptimize  (link moved): %7.3f ms modeled  (%" PRIu64 " plans)\n",
+              reopt.modeled_solve_s * 1e3, reopt.plans);
+  std::printf("reoptimize  (unchanged):  %7.3f ms modeled  (%" PRIu64 " plans)\n",
+              unchanged.modeled_solve_s * 1e3, unchanged.plans);
   const bool solve_ok = solve.modeled_solve_s < 10e-3 &&
                         reopt.modeled_solve_s <= solve.modeled_solve_s &&
-                        unchanged.delta_evals == 0;
+                        unchanged.plans == 0;
 
-  // ---- 3. plan quality vs Algorithm 1 ------------------------------------
+  // ---- 2. plan quality vs Algorithm 1 ------------------------------------
   bench::print_subtitle("pipeline DAG, three-tier scenarios vs Algorithm 1 seed");
   std::vector<ScenarioRow> scenarios;
   // Healthy WLAN: offloading is cheap, Algorithm 1's all-to-cloud answer is
@@ -308,17 +177,15 @@ int main(int argc, char** argv) {
 
   // ---- acceptance ---------------------------------------------------------
   bench::print_subtitle("acceptance");
-  std::printf("incremental >= 20x everywhere:     %s (min %.1fx)\n",
-              speedup_ok ? "yes" : "NO", min_speedup);
   std::printf("pipeline solve < 10 ms modeled:    %s (%.3f ms)\n",
               solve_ok ? "yes" : "NO", solve.modeled_solve_s * 1e3);
   std::printf("never worse than Algorithm 1:      %s\n", never_worse ? "yes" : "NO");
   std::printf("beats Algorithm 1 somewhere:       %s\n", improves_some ? "yes" : "NO");
 
-  write_json(rows, solve_nodes, solve, reopt.modeled_solve_s, unchanged.delta_evals,
-             scenarios, smoke, speedup_ok, solve_ok, never_worse, improves_some);
+  write_json(solve_nodes, solve, reopt.modeled_solve_s, unchanged.plans, scenarios,
+             smoke, solve_ok, never_worse, improves_some);
 
-  const bool ok = speedup_ok && solve_ok && never_worse && improves_some;
+  const bool ok = solve_ok && never_worse && improves_some;
   if (!ok) std::printf("\nACCEPTANCE FAILED\n");
   return ok ? 0 : 1;
 }

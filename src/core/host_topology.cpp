@@ -63,16 +63,6 @@ int HostTopology::index_of(platform::Host kind) const {
   return -1;
 }
 
-HostTopology HostTopology::two_host(platform::Host remote, int remote_threads,
-                                    double bandwidth_bps, double rtt_s, double loss) {
-  HostTopology t;
-  t.add_host({"lgv", platform::Host::kLgv, 1});
-  const int r = t.add_host({platform::host_name(remote), remote, remote_threads});
-  t.set_link(0, r, {bandwidth_bps, rtt_s, loss});
-  t.set_link(r, 0, {bandwidth_bps, rtt_s, loss});
-  return t;
-}
-
 HostTopology HostTopology::three_tier(int edge_threads, int cloud_threads,
                                       double wlan_bandwidth_bps, double wlan_rtt_s,
                                       double wlan_loss, double wan_rtt_s,

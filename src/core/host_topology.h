@@ -1,8 +1,8 @@
 // N-host generalization of the paper's two-host world (Fig. 8): a set of
 // heterogeneous hosts (the RPi / gateway / Xeon cost models of Table III)
 // joined by directed links with bandwidth, RTT and loss. The PlacementEngine
-// prices DAG placements against this model; the link observables can be fed
-// live from the Profiler (RTT meter, receive-side bandwidth) so the model
+// prices DAG placements against this model; the link observables are fed
+// live (the Profiler's RTT, the channel's signal-scaled capacity) so the model
 // tracks the real channel instead of a config constant.
 //
 // Mutations are generation-stamped: any *material* change to a host or link
@@ -62,13 +62,6 @@ class HostTopology {
 
   /// Stamp of the last material mutation (starts at 1 once any host exists).
   uint64_t generation() const { return generation_; }
-
-  /// Round-trip time of the src → dst path (the link's rtt; 0 on self).
-  double path_rtt(int src, int dst) const { return link(src, dst).rtt_s; }
-
-  /// The paper's deployment: LGV + one remote host over the wireless channel.
-  static HostTopology two_host(platform::Host remote, int remote_threads,
-                               double bandwidth_bps, double rtt_s, double loss = 0.0);
 
   /// Three-tier edge/fog/cloud deployment: lgv → edge_gateway → cloud_server.
   /// The vehicle reaches the gateway over the WLAN (bandwidth/rtt/loss as

@@ -1,7 +1,6 @@
 #include "core/profiler.h"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 
 namespace lgv::core {
 
@@ -10,21 +9,13 @@ Profiler::Profiler(ProfilerConfig config, Point2D wap_position)
       bandwidth_(config.bandwidth_window_s),
       direction_(wap_position, config.direction_history) {}
 
-void Profiler::note_change(double before, double after) {
-  const double scale = std::max({std::fabs(before), std::fabs(after), 1e-12});
-  if (std::fabs(after - before) > 1e-9 * scale) ++generation_;
-}
-
 void Profiler::record_node_time(NodeId node, platform::Host host, double seconds) {
   const auto key = std::make_pair(node, host);
   const auto it = node_times_.find(key);
   if (it == node_times_.end()) {
     node_times_[key] = seconds;
-    ++generation_;
   } else {
-    const double before = it->second;
     it->second = config_.ema_alpha * seconds + (1.0 - config_.ema_alpha) * it->second;
-    note_change(before, it->second);
   }
 }
 
@@ -55,11 +46,8 @@ void Profiler::record_vdp_makespan(VdpPlacement placement, double seconds) {
   const auto it = vdp_times_.find(placement);
   if (it == vdp_times_.end()) {
     vdp_times_[placement] = seconds;
-    ++generation_;
   } else {
-    const double before = it->second;
     it->second = config_.ema_alpha * seconds + (1.0 - config_.ema_alpha) * it->second;
-    note_change(before, it->second);
   }
   telemetry::Histogram* h =
       placement == VdpPlacement::kLocal ? vdp_local_s_ : vdp_remote_s_;

@@ -24,13 +24,6 @@ class Profiler {
  public:
   Profiler(ProfilerConfig config, Point2D wap_position);
 
-  /// Generation stamp of the profiled observables: bumped whenever a recorded
-  /// sample *materially* changes a stored estimate (node-time EMA, VDP
-  /// makespan EMA, or the latest RTT). Consumers that derive state from the
-  /// profiles — the placement cost tables foremost — compare stamps and
-  /// rebuild only when this moved; feeding back unchanged profiles is free.
-  uint64_t generation() const { return generation_; }
-
   // ---- processing times ----
   void record_node_time(NodeId node, platform::Host host, double seconds);
   /// Smoothed processing time of `node` on `host`; nullopt if never observed.
@@ -52,9 +45,7 @@ class Profiler {
 
   // ---- network ----
   void record_rtt(double sent_at, double received_at) {
-    const double before = rtt_.latest().value_or(-1.0);
     rtt_.on_response(sent_at, received_at);
-    note_change(before, rtt_.latest().value_or(-1.0));
     if (rtt_ms_ != nullptr) rtt_ms_->observe((received_at - sent_at) * 1e3);
   }
   std::optional<double> rtt() const { return rtt_.latest(); }
@@ -65,12 +56,7 @@ class Profiler {
   NetworkObservation observe(double now);
 
  private:
-  /// Bump the generation when an estimate moved by more than 1e-9 relative —
-  /// re-recording the same numbers must not invalidate downstream tables.
-  void note_change(double before, double after);
-
   ProfilerConfig config_;
-  uint64_t generation_ = 0;
   std::map<std::pair<NodeId, platform::Host>, double> node_times_;
   std::map<VdpPlacement, double> vdp_times_;
   net::RttMeter rtt_;

@@ -189,6 +189,15 @@ double WorkerPool::start_wait(double now, int threads) const {
 }
 
 WorkerPool::Ticket WorkerPool::enqueue(SessionId session, Request req) {
+  if (window_flushed_) {
+    // The first submit after a flush opens a new window; the served one's
+    // verdicts stop being readable here. (An empty pending_ is no signal:
+    // an eviction can empty it mid-window, and the failed ticket's verdict
+    // must stay readable.)
+    requests_store_.clear();
+    verdicts_.clear();
+    window_flushed_ = false;
+  }
   step(req.arrival);
   // Failure plane first: a draining or crashed pool refuses everything, and
   // a partitioned session's request never reaches the pool at all — in
@@ -465,6 +474,7 @@ void WorkerPool::flush(double now) {
   step(now);
   run_batches();
   schedule(now);
+  window_flushed_ = true;
 }
 
 WorkerVerdict WorkerPool::verdict(const Ticket& ticket) const {

@@ -121,7 +121,9 @@ class WorkerPool {
   bool has_session(SessionId id) const { return sessions_.count(id) != 0; }
 
   // ---- request plane -------------------------------------------------------
-  /// Handle for a queued request (valid until the next flush after it).
+  /// Handle for a queued request. Its verdict is readable until the next
+  /// submit after the flush that served it: that submit opens a new window,
+  /// and ticket ids start again from 0.
   struct Ticket {
     uint64_t id = 0;
     bool busy = false;  ///< bounced at submit; verdict() repeats the refusal
@@ -147,7 +149,8 @@ class WorkerPool {
   /// every pending request its start/completion. Verdicts become readable.
   void flush(double now);
 
-  /// Verdict for a ticket from any flushed window.
+  /// Verdict for a ticket, readable until the next submit after the flush
+  /// that served it.
   WorkerVerdict verdict(const Ticket& ticket) const;
 
   /// submit + flush + verdict: the synchronous single-request path
@@ -266,9 +269,12 @@ class WorkerPool {
   SessionId next_session_ = 1;
 
   std::vector<double> core_free_;   ///< virtual time each core frees up
+  // The current window's requests and verdicts, indexed by ticket id.
   std::vector<Request> requests_store_;
   std::vector<WorkerVerdict> verdicts_;
   std::vector<uint64_t> pending_;   ///< tickets awaiting flush, arrival order
+  /// A flush served the window; the next submit clears the stores.
+  bool window_flushed_ = false;
 
   uint64_t requests_ = 0;
   uint64_t busy_rejects_ = 0;

@@ -443,6 +443,48 @@ TEST(WorkerPool, EvictionMidFlushWindowFailsPendingExplicitly) {
   EXPECT_EQ(pool.batched_requests(), 0u);
 }
 
+// A flushed window's requests and verdicts are released by the next submit:
+// ticket ids start again from 0, so the stores stay one window long instead
+// of growing with every request the pool ever served.
+TEST(WorkerPool, TicketIdsRestartInEachWindow) {
+  WorkerPool pool(small_pool());
+  const Admission a = pool.open_session("lgv-0", 0.0);
+  for (int window = 0; window < 3; ++window) {
+    const double now = 0.5 * window;
+    const WorkerPool::Ticket t0 = pool.submit(a.session, KernelKind::kGeneric, now, 0.1, 1);
+    const WorkerPool::Ticket t1 = pool.submit(a.session, KernelKind::kGeneric, now, 0.1, 1);
+    ASSERT_FALSE(t0.busy);
+    ASSERT_FALSE(t1.busy);
+    EXPECT_EQ(t0.id, 0u) << "window " << window;
+    EXPECT_EQ(t1.id, 1u) << "window " << window;
+    pool.flush(now);
+    EXPECT_FALSE(pool.verdict(t0).busy);
+    EXPECT_DOUBLE_EQ(pool.verdict(t1).completion, now + 0.1);
+  }
+}
+
+// An eviction can empty the flush list mid-window; a later submit in the same
+// window must not recycle the evicted ticket's slot.
+TEST(WorkerPool, EvictedVerdictSurvivesLaterSubmitInSameWindow) {
+  WorkerPool pool(small_pool());
+  const Admission a = pool.open_session("lgv-0", 0.0);
+  const Admission b = pool.open_session("lgv-1", 0.0);
+  const WorkerPool::Ticket ta = pool.submit(a.session, KernelKind::kGeneric, 0.0, 0.1, 1);
+  ASSERT_FALSE(ta.busy);
+  pool.close_session(a.session);
+  const WorkerPool::Ticket tb = pool.submit(b.session, KernelKind::kGeneric, 0.0, 0.2, 1);
+  ASSERT_FALSE(tb.busy);
+  EXPECT_NE(tb.id, ta.id);
+  pool.flush(0.0);
+
+  const WorkerVerdict va = pool.verdict(ta);
+  EXPECT_TRUE(va.busy);
+  EXPECT_STREQ(va.busy_cause, "evicted");
+  const WorkerVerdict vb = pool.verdict(tb);
+  EXPECT_FALSE(vb.busy);
+  EXPECT_DOUBLE_EQ(vb.service, 0.2);
+}
+
 TEST(WorkerPool, FailurePlaneTelemetryCoverage) {
   telemetry::Telemetry t;
   WorkerPool pool(small_pool(), &t);
