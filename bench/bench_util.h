@@ -5,7 +5,9 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -82,6 +84,18 @@ inline std::string fmt(double v, int precision = 2) {
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
   return buf;
 }
+
+/// A double as a JSON number in its shortest exact (round-trip) spelling, so
+/// a gate that holds a cycle-model number to 1e-9 relative sees any change.
+/// Non-finite values have no JSON spelling and become null.
+inline std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, r.ptr);
+}
+
+inline const char* json_bool(bool b) { return b ? "true" : "false"; }
 
 /// Accumulates per-run metric snapshots and writes them next to the bench's
 /// stdout table as `BENCH_<name>_telemetry.json`:
