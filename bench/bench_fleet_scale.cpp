@@ -171,7 +171,7 @@ ConfigResult run_config(int vehicles, int cores, int ticks,
           const Pose2D cand(pose.x + dx, pose.y + dy, pose.theta + dth);
           matcher.score(field, cand, *pre, &evals);
         }
-        return static_cast<double>(evals) * calib::kScanMatchCachedCyclesPerBeamEval;
+        return static_cast<double>(evals) * calib::kScanMatchCyclesPerBeamEval;
       };
       const auto t1 =
           pool.submit_block(s.session, core::KernelKind::kScanMatch, now,

@@ -45,33 +45,6 @@ void Amcl::initialize_global(size_t count) {
   have_last_odom_ = false;
 }
 
-double Amcl::measurement_weight(const Pose2D& pose, const msg::LaserScan& scan,
-                                size_t* evals) const {
-  double log_w = 0.0;
-  for (size_t i = 0; i < scan.ranges.size(); i += static_cast<size_t>(config_.beam_stride)) {
-    const double r = static_cast<double>(scan.ranges[i]);
-    if (r > scan.range_max || r < scan.range_min) continue;
-    ++(*evals);
-    const double angle = pose.theta + scan.angle_of(i);
-    const Point2D end{pose.x + std::cos(angle) * r, pose.y + std::sin(angle) * r};
-    const CellIndex c = map_->frame().world_to_cell(end);
-    // Likelihood-field style: closest occupied cell in the 3×3 neighborhood.
-    double d2_min = 9.0 * config_.sigma_hit * config_.sigma_hit;
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        const CellIndex cc{c.x + dx, c.y + dy};
-        if (!map_->is_occupied(cc)) continue;
-        const double d = distance(map_->frame().cell_to_world(cc), end);
-        d2_min = std::min(d2_min, d * d);
-      }
-    }
-    const double p_hit =
-        std::exp(-d2_min / (2.0 * config_.sigma_hit * config_.sigma_hit));
-    log_w += std::log(config_.z_hit * p_hit + config_.z_rand + 1e-6);
-  }
-  return log_w;
-}
-
 double Amcl::measurement_weight(const Pose2D& pose, const PrecomputedScan& pre,
                                 size_t* evals) const {
   double log_w = 0.0;
@@ -82,8 +55,8 @@ double Amcl::measurement_weight(const Pose2D& pose, const PrecomputedScan& pre,
     const Point2D end{pose.x + cos_t * pre.end_x[i] - sin_t * pre.end_y[i],
                       pose.y + sin_t * pre.end_x[i] + cos_t * pre.end_y[i]};
     const CellIndex c = frame.world_to_cell(end);
-    // Same capped min-d² the brute-force model computes, from the field's
-    // occupancy mask instead of nine map probes.
+    // Closest occupied cell in the 3×3 neighborhood, from the field's
+    // occupancy mask, capped at 3σ.
     const double d2_min =
         std::min(9.0 * config_.sigma_hit * config_.sigma_hit,
                  field_.min_obstacle_d2(c, end));
@@ -107,11 +80,11 @@ AmclUpdateStats Amcl::update(const msg::Odometry& odom, const msg::LaserScan& sc
   const double rot = std::abs(delta.theta);
 
   // The per-scan endpoint precomputation and field sync are shared by every
-  // particle weighed below; sync is a no-op while the map is unchanged.
-  size_t field_cells = 0;
+  // particle weighed below; sync is a no-op while the map is unchanged, and
+  // a host cache either way, so it is not modeled work.
   PrecomputedScan pre;
-  if (config_.use_likelihood_field && !first) {
-    field_cells = field_.sync(*map_);
+  if (!first) {
+    field_.sync(*map_);
     pre = precompute_scan(scan, config_.beam_stride, map_->frame().resolution);
   }
 
@@ -127,18 +100,10 @@ AmclUpdateStats Amcl::update(const msg::Odometry& odom, const msg::LaserScan& sc
         noisy.theta + rng_.gaussian(0.0, config_.motion_noise_rot * rot + 1e-4));
     const Pose2D moved = poses_.at(i).compose(noisy);
     poses_.set(i, moved);
-    if (!first) {
-      log_weights[i] = config_.use_likelihood_field
-                           ? measurement_weight(moved, pre, &evals)
-                           : measurement_weight(moved, scan, &evals);
-    }
+    if (!first) log_weights[i] = measurement_weight(moved, pre, &evals);
   }
   stats.beam_evaluations = evals;
-  const double eval_cycles = config_.use_likelihood_field
-                                 ? calib::kAmclCachedCyclesPerBeamEval
-                                 : calib::kAmclCyclesPerBeamEval;
-  ctx.serial_work(static_cast<double>(evals) * eval_cycles +
-                  static_cast<double>(field_cells) * calib::kFieldRebuildCyclesPerCell +
+  ctx.serial_work(static_cast<double>(evals) * calib::kAmclCyclesPerBeamEval +
                   static_cast<double>(poses_.size()) * calib::kAmclMotionCyclesPerParticle);
 
   // Normalize.

@@ -48,14 +48,11 @@ SlamUpdateStats Gmapping::process(const msg::Odometry& odom, const msg::LaserSca
 
   std::atomic<size_t> beam_evals{0};
   std::atomic<size_t> cells_updated{0};
-  std::atomic<size_t> field_cells{0};
 
   // The per-scan endpoint precomputation is pose-independent, so it is
-  // hoisted out of the per-particle loop and shared by all M particles
-  // (previously recomputed inside every match() call).
-  const bool use_field = matcher_.config().use_likelihood_field;
+  // hoisted out of the per-particle loop and shared by all M particles.
   PrecomputedScan pre;
-  if (use_field && !first_scan && !particles_.empty()) {
+  if (!first_scan && !particles_.empty()) {
     pre = precompute_scan(scan, matcher_.config().beam_stride,
                           particles_[0].map.frame().resolution);
   }
@@ -78,18 +75,12 @@ SlamUpdateStats Gmapping::process(const msg::Odometry& odom, const msg::LaserSca
     Pose2D pose = poses_.at(i).compose(noisy);
 
     size_t evals = 0;
-    size_t rebuilt = 0;
     if (!first_scan) {
       // scanMatch refinement against this particle's own map, through its
-      // likelihood field on the fast path (synced incrementally from the
-      // map's changelog) or the brute-force reference scorer when disabled.
-      MatchResult m;
-      if (use_field) {
-        rebuilt = p.field.sync(p.map);
-        m = matcher_.match(p.field, pose, pre);
-      } else {
-        m = matcher_.match(p.map, pose, scan);
-      }
+      // likelihood field (synced incrementally from the map's changelog; a
+      // host cache, so the sync itself is not modeled work).
+      p.field.sync(p.map);
+      const MatchResult m = matcher_.match(p.field, pose, pre);
       evals = m.beam_evaluations;
       pose = m.pose;
       log_weights_[i] += std::log(m.score + 1e-3);
@@ -99,18 +90,13 @@ SlamUpdateStats Gmapping::process(const msg::Odometry& odom, const msg::LaserSca
     const size_t touched = p.map.integrate_scan(pose, scan);
     beam_evals.fetch_add(evals, std::memory_order_relaxed);
     cells_updated.fetch_add(touched, std::memory_order_relaxed);
-    field_cells.fetch_add(rebuilt, std::memory_order_relaxed);
 
-    const double eval_cycles = use_field ? calib::kScanMatchCachedCyclesPerBeamEval
-                                         : calib::kScanMatchCyclesPerBeamEval;
-    return static_cast<double>(evals) * eval_cycles +
-           static_cast<double>(rebuilt) * calib::kFieldRebuildCyclesPerCell +
+    return static_cast<double>(evals) * calib::kScanMatchCyclesPerBeamEval +
            static_cast<double>(touched) * calib::kMapUpdateCyclesPerCell;
   });
 
   stats.beam_evaluations = beam_evals.load();
   stats.map_cells_updated = cells_updated.load();
-  stats.field_cells_rebuilt = field_cells.load();
 
   // ---- Sequential phase: updateTreeWeights + selective resampling.
   normalize_weights();

@@ -70,7 +70,6 @@ struct StateCodecStats {
 struct SlamUpdateStats {
   size_t beam_evaluations = 0;  ///< scanMatch work across all particles
   size_t map_cells_updated = 0;
-  size_t field_cells_rebuilt = 0;  ///< likelihood-field maintenance work
   bool resampled = false;
   double neff = 0.0;
 };

@@ -232,11 +232,9 @@ MatchResult ScanMatcher::match(const LikelihoodField& field, const Pose2D& initi
 
 MatchResult ScanMatcher::match(const LikelihoodField& field, const Pose2D& initial,
                                const PrecomputedScan& pre) const {
-  MatchResult result = hill_climb(initial, [&](const Pose2D& pose, size_t* evals) {
+  return hill_climb(initial, [&](const Pose2D& pose, size_t* evals) {
     return score(field, pose, pre, evals);
   });
-  result.used_likelihood_field = true;
-  return result;
 }
 
 }  // namespace lgv::perception

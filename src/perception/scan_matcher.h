@@ -4,20 +4,17 @@
 // with free space in front of them; refines the pose by greedy coordinate
 // ascent over (x, y, θ) perturbations.
 //
-// Two scorers produce that score:
-//  - the likelihood-field scorer (default): beam endpoints are precomputed
-//    once per scan in the sensor frame, each candidate pose transforms them
-//    with two FMAs per coordinate, and a single LikelihoodField lookup
-//    replaces the 3×3 occupancy probe. This is the fast path GMapping and
-//    AMCL run on both hosts.
-//  - the brute-force reference scorer (use_likelihood_field = false): the
-//    original per-beam trig + neighborhood probe, kept as the semantic
-//    ground truth the equivalence tests check the cached path against.
+// GMapping scores through the likelihood field: beam endpoints are
+// precomputed once per scan in the sensor frame, each candidate pose
+// transforms them with two FMAs per coordinate, and a single LikelihoodField
+// lookup replaces the 3×3 occupancy probe. The brute-force scorer (per-beam
+// trig + neighborhood probe) is kept as the semantic reference the
+// equivalence tests and benches compare the field against; no mission runs
+// it.
 //
-// score() reports the number of beam evaluations it performed so callers can
-// charge the platform cycle model per evaluation —
-// calib::kScanMatchCachedCyclesPerBeamEval for the likelihood-field path,
-// calib::kScanMatchCyclesPerBeamEval for the reference path.
+// score() reports the number of beam evaluations it performed. Callers charge
+// calib::kScanMatchCyclesPerBeamEval per evaluation whichever scorer ran: the
+// algorithm fixes the work, not the implementation (docs/timing-model.md).
 #pragma once
 
 #include <vector>
@@ -37,16 +34,12 @@ struct ScanMatcherConfig {
   double search_step_theta = 0.025;  ///< initial rotation step (rad)
   int refinement_iterations = 3;     ///< halvings of the step size
   double sigma = 0.12;          ///< endpoint score kernel width (m)
-  /// Score against a LikelihoodField (fast path). When false, callers fall
-  /// back to the brute-force reference scorer.
-  bool use_likelihood_field = true;
 };
 
 struct MatchResult {
   Pose2D pose;
   double score = 0.0;
   size_t beam_evaluations = 0;  ///< work units performed
-  bool used_likelihood_field = false;  ///< which cycle constant the evals cost
 };
 
 /// Pose-independent per-scan precomputation: the (r·cosθᵢ, r·sinθᵢ) beam

@@ -14,35 +14,28 @@
 // Changing workload parameters (particles, samples, beam count) moves the
 // derived numbers exactly as it would on real hardware; only the per-op
 // constants here are fitted.
+//
+// One constant per primitive operation, whichever code performs it: a host
+// speedup (the likelihood-field scorer, the memoized costmap wavefront) does
+// the same work units faster on the host and is charged the same cycles.
+// Host caches themselves (LikelihoodField::sync, the costmap's memo) are not
+// modeled work.
 #pragma once
 
 namespace lgv::platform::calib {
 
 // ---- SLAM (gmapping-style RBPF, Fig. 6) -----------------------------------
-/// Cycles per (particle × beam) likelihood evaluation inside scanMatch when
-/// the brute-force reference scorer runs (the paper's stock GMapping path).
+/// Cycles per (particle × beam) likelihood evaluation inside scanMatch.
 /// 98% of SLAM time lives here (§V).
 inline constexpr double kScanMatchCyclesPerBeamEval = 50000.0;
-/// Cycles per beam evaluation on the likelihood-field path: precomputed
-/// endpoints + one field lookup replace the per-beam trig and the 3×3
-/// occupancy probe. Ratio fitted to the measured bench_micro_kernels host
-/// speedup of the cached scorer over the reference scorer.
-inline constexpr double kScanMatchCachedCyclesPerBeamEval = 10000.0;
-/// Cycles per likelihood-field cell recomputed by LikelihoodField::sync
-/// (9 occupancy compares + a packed write; incremental after every map
-/// update, full grid on first build).
-inline constexpr double kFieldRebuildCyclesPerCell = 800.0;
 /// Cycles per map cell touched while integrating a scan into a particle map.
 inline constexpr double kMapUpdateCyclesPerCell = 4000.0;
 /// Cycles per particle for the sequential weight bookkeeping + resampling.
 inline constexpr double kResampleCyclesPerParticle = 500000.0;
 
 // ---- AMCL -----------------------------------------------------------------
-/// Cycles per (particle × beam) in the brute-force AMCL measurement model.
+/// Cycles per (particle × beam) in the AMCL measurement model.
 inline constexpr double kAmclCyclesPerBeamEval = 2000.0;
-/// Cycles per (particle × beam) on the likelihood-field path (endpoints
-/// precomputed once per scan, shared across every particle).
-inline constexpr double kAmclCachedCyclesPerBeamEval = 500.0;
 /// Cycles per particle for sampling the motion model.
 inline constexpr double kAmclMotionCyclesPerParticle = 3000.0;
 

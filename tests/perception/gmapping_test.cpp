@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "platform/calibration.h"
 #include "sim/scenario.h"
 
 namespace lgv::perception {
@@ -101,6 +102,30 @@ TEST_F(GmappingLogTest, StatsReportWork) {
   EXPECT_GT(ctx.profile().total_cycles(), 1e6);
   ASSERT_FALSE(ctx.profile().regions.empty());
   EXPECT_EQ(ctx.profile().regions[0].chunks(), 4);
+}
+
+TEST_F(GmappingLogTest, ChargesOneConstantPerWorkUnit) {
+  // One calibration prices every beam evaluation, whichever scorer computes
+  // it: a serial update costs exactly its counted work at the Table II
+  // constants. The likelihood field's first full build happens inside this
+  // update and is a host cache, so it adds nothing.
+  Gmapping slam(small_config(10), {0, 0}, 8.0, 8.0, 3);
+  platform::ExecutionContext ctx;
+  slam.initialize(log[0].odom_pose);
+  msg::Odometry odom;
+  odom.pose = log[0].odom_pose;
+  slam.process(odom, log[0].scan, ctx);  // first scan: map seeding only
+  ctx.reset();
+  odom.pose = log[1].odom_pose;
+  const SlamUpdateStats stats = slam.process(odom, log[1].scan, ctx);
+  ASSERT_GT(stats.beam_evaluations, 0u);
+  EXPECT_EQ(ctx.profile().total_cycles(),
+            static_cast<double>(stats.beam_evaluations) *
+                    platform::calib::kScanMatchCyclesPerBeamEval +
+                static_cast<double>(stats.map_cells_updated) *
+                    platform::calib::kMapUpdateCyclesPerCell +
+                static_cast<double>(slam.particle_count()) *
+                    platform::calib::kResampleCyclesPerParticle);
 }
 
 TEST_F(GmappingLogTest, ParallelAndSerialProduceSameWorkScale) {

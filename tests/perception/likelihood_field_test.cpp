@@ -1,17 +1,20 @@
 // Tests for the likelihood-field scan-match cache: score equivalence against
-// the brute-force reference scorer on randomized maps and poses, incremental
-// sync against full rebuild, and the derived-state lifecycle across particle
-// copies and map migration.
+// the brute-force reference scorers (scan matching and AMCL) on randomized
+// maps and poses, incremental sync against full rebuild, and the
+// derived-state lifecycle across particle copies and map migration.
 #include "perception/likelihood_field.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/serialization.h"
 #include "perception/amcl.h"
 #include "perception/scan_matcher.h"
+#include "platform/calibration.h"
 #include "sim/lidar.h"
 #include "sim/world.h"
 
@@ -147,8 +150,6 @@ TEST(LikelihoodField, MatchSelectsSamePoseAsBruteForce) {
       // selection means bit-equal poses.
       EXPECT_EQ(brute.pose, cached.pose) << "seed " << seed << " trial " << trial;
       EXPECT_EQ(brute.beam_evaluations, cached.beam_evaluations);
-      EXPECT_FALSE(brute.used_likelihood_field);
-      EXPECT_TRUE(cached.used_likelihood_field);
       EXPECT_NEAR(brute.score, cached.score,
                   1e-9 * std::max(1.0, std::abs(brute.score)));
     }
@@ -256,40 +257,77 @@ TEST(LikelihoodField, MigratedMapForcesRebuild) {
   }
 }
 
-TEST(LikelihoodField, AmclAgreesAcrossMeasurementModels) {
-  // Two identically-seeded filters, one per measurement model, tracking the
-  // same scans: the RNG streams are identical, so estimates differ only by
-  // the floating-point rounding of the likelihood values.
-  RandomMapFixture fx(47);
-  AmclConfig brute_cfg;
-  brute_cfg.use_likelihood_field = false;
-  AmclConfig cached_cfg;
-  cached_cfg.use_likelihood_field = true;
-  Amcl brute(brute_cfg, fx.map.get(), 99);
-  Amcl cached(cached_cfg, fx.map.get(), 99);
-  const Pose2D start = fx.random_free_pose();
-  brute.initialize(start);
-  cached.initialize(start);
-
-  platform::ExecutionContext bctx, cctx;
-  double t = 0.0;
-  for (int i = 0; i < 8; ++i) {
-    t += 0.2;
-    msg::Odometry odom;
-    odom.pose = start;
-    odom.header.stamp = t;
-    const msg::LaserScan scan = fx.lidar->scan(*fx.world, start, t);
-    const AmclUpdateStats bs = brute.update(odom, scan, bctx);
-    const AmclUpdateStats cs = cached.update(odom, scan, cctx);
-    EXPECT_EQ(bs.beam_evaluations, cs.beam_evaluations);
+/// Brute-force AMCL measurement model: per-beam trig and a 3×3 occupancy
+/// probe around each endpoint. The filter weighs particles through the
+/// likelihood field instead; this is the reference it must reproduce.
+double reference_log_weight(const OccupancyGrid& map, const AmclConfig& cfg,
+                            const Pose2D& pose, const msg::LaserScan& scan,
+                            size_t* evals) {
+  double log_w = 0.0;
+  for (size_t i = 0; i < scan.ranges.size(); i += static_cast<size_t>(cfg.beam_stride)) {
+    const double r = static_cast<double>(scan.ranges[i]);
+    if (r > scan.range_max || r < scan.range_min) continue;
+    ++(*evals);
+    const double angle = pose.theta + scan.angle_of(i);
+    const Point2D end{pose.x + std::cos(angle) * r, pose.y + std::sin(angle) * r};
+    const CellIndex c = map.frame().world_to_cell(end);
+    double d2_min = 9.0 * cfg.sigma_hit * cfg.sigma_hit;
+    for (int dy = -1; dy <= 1; ++dy) {
+      for (int dx = -1; dx <= 1; ++dx) {
+        const CellIndex cc{c.x + dx, c.y + dy};
+        if (!map.is_occupied(cc)) continue;
+        const double d = distance(map.frame().cell_to_world(cc), end);
+        d2_min = std::min(d2_min, d * d);
+      }
+    }
+    const double p_hit = std::exp(-d2_min / (2.0 * cfg.sigma_hit * cfg.sigma_hit));
+    log_w += std::log(cfg.z_hit * p_hit + cfg.z_rand + 1e-6);
   }
-  const Pose2D be = brute.estimate();
-  const Pose2D ce = cached.estimate();
-  EXPECT_NEAR(be.x, ce.x, 1e-6);
-  EXPECT_NEAR(be.y, ce.y, 1e-6);
-  EXPECT_NEAR(be.theta, ce.theta, 1e-6);
-  // The cached model must be charged strictly fewer modeled cycles per beam.
-  EXPECT_LT(cctx.profile().total_cycles(), bctx.profile().total_cycles());
+  return log_w;
+}
+
+TEST(LikelihoodField, AmclWeightsMatchBruteForceReference) {
+  // With resampling off, the weights after the first weighed update are the
+  // normalized likelihoods of the filter's own particles, so they must equal
+  // the brute-force model's — and the update must be charged one Table II
+  // constant per beam evaluation, whichever model computed it.
+  RandomMapFixture fx(47);
+  AmclConfig cfg;
+  cfg.resample_threshold = 0.0;
+  Amcl amcl(cfg, fx.map.get(), 99);
+  const Pose2D start = fx.random_free_pose();
+  amcl.initialize(start);
+
+  platform::ExecutionContext ctx;
+  msg::Odometry odom;
+  odom.pose = start;
+  odom.header.stamp = 0.2;
+  amcl.update(odom, fx.lidar->scan(*fx.world, start, 0.2), ctx);  // odometry anchor
+  ctx.reset();
+  odom.header.stamp = 0.4;
+  const msg::LaserScan scan = fx.lidar->scan(*fx.world, start, 0.4);
+  const AmclUpdateStats stats = amcl.update(odom, scan, ctx);
+  ASSERT_FALSE(stats.resampled);
+
+  const size_t n = amcl.poses().size();
+  std::vector<double> expected(n);
+  size_t evals = 0;
+  for (size_t i = 0; i < n; ++i) {
+    expected[i] = reference_log_weight(*fx.map, cfg, amcl.poses()[i], scan, &evals);
+  }
+  const double max_log = *std::max_element(expected.begin(), expected.end());
+  double sum = 0.0;
+  for (double& w : expected) {
+    w = std::exp(w - max_log);
+    sum += w;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(amcl.weights()[i], expected[i] / sum, 1e-9) << "particle " << i;
+  }
+  EXPECT_EQ(stats.beam_evaluations, evals);
+  EXPECT_EQ(ctx.profile().total_cycles(),
+            static_cast<double>(evals) * platform::calib::kAmclCyclesPerBeamEval +
+                static_cast<double>(n) * platform::calib::kAmclMotionCyclesPerParticle);
 }
 
 }  // namespace
