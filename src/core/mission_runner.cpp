@@ -11,6 +11,8 @@ namespace calib = platform::calib;
 using platform::Host;
 
 namespace {
+// Freshness window of path-tracking commands at the mux: run_adjustment sets
+// it to 1.5 × the VDP makespan, clamped to [kMinMuxTimeout, kMaxMuxTimeout].
 constexpr double kMinMuxTimeout = 0.8;
 constexpr double kMaxMuxTimeout = 6.0;
 }  // namespace

@@ -46,7 +46,6 @@ struct MissionConfig {
   double scan_period = 0.2;    ///< 5 Hz LDS
   double timeout = 1500.0;     ///< give up after this much virtual time
   double goal_tolerance = 0.35;
-  double mux_timeout = 0.8;    ///< command freshness window
   double replan_period = 2.0;
   double adjust_period = 1.0;  ///< Algorithm 1/2 evaluation cadence
   double trace_period = 0.5;   ///< sampling of the report traces

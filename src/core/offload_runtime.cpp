@@ -66,7 +66,6 @@ OffloadRuntime::OffloadRuntime(DeploymentPlan plan, Point2D wap_position,
   worker_pool_ = fleet.pool;
   vehicle_index_ = fleet.vehicle_index;
   standby_pool_ = fleet.standby;
-  standby_host_ = fleet.standby_host;
   remote_host_ = plan_.remote_host;
   if (vehicle_index_ >= 0) {
     // Session identity on the wire: every frame this vehicle's Switcher sends
@@ -355,7 +354,9 @@ void OffloadRuntime::complete_failover(int target, double now) {
   failover_->migration_committed(target);
   ++pool_failovers_;
   if (snapshot_committed_fn_) snapshot_committed_fn_();
-  remote_host_ = target == 1 ? standby_host_ : plan_.remote_host;
+  // Placement and cost-model pricing follow the commit: the standby runs on
+  // the edge gateway (nearer than the primary, but slower).
+  remote_host_ = target == 1 ? platform::Host::kEdgeGateway : plan_.remote_host;
   for (const auto& [id, host] : placement_) {
     if (host != platform::Host::kLgv && host != remote_host_) {
       place(id, remote_host_);

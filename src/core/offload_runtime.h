@@ -73,12 +73,10 @@ struct FleetAttachment {
   int vehicle_index = -1;
   /// Standby pool (PR 9): on primary loss, once the per-vehicle circuit
   /// breaker opens, the runtime ships a crash-consistent state snapshot to
-  /// the standby's host and re-admits there with a fresh session. nullptr =
-  /// no failover target (backoff and breaker still protect the primary).
+  /// the standby's host — the edge gateway — and re-admits there with a
+  /// fresh session. nullptr = no failover target (backoff and breaker still
+  /// protect the primary).
   WorkerPool* standby = nullptr;
-  /// Host the standby pool runs on — placement and cost-model pricing follow
-  /// a committed failover there (the edge-gateway story: nearer but slower).
-  platform::Host standby_host = platform::Host::kEdgeGateway;
   /// Seed of the vehicle's splitmix64 busy-retry jitter stream. 0 derives a
   /// stream from vehicle_index so even unseeded vehicles never share a retry
   /// schedule; fleets should pass vehicle_seed(fleet_seed, index)-derived
@@ -298,7 +296,6 @@ class OffloadRuntime {
   SessionId worker_session_ = 0;
   int vehicle_index_ = -1;
   WorkerPool* standby_pool_ = nullptr;  ///< failover target (not owned)
-  platform::Host standby_host_ = platform::Host::kEdgeGateway;
   std::unique_ptr<PoolFailoverClient> failover_;
   /// Pool the last successful ensure_worker_session() selected (primary or
   /// standby); the one make_context attaches and finish_guarded executes on.

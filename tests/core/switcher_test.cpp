@@ -380,7 +380,7 @@ TEST_F(SwitcherTest, SequencingIsPerSessionNotGlobal) {
   // Interleave two sessions on the same topic with overlapping seq numbers
   // (pumping between sends so the emulated link can't reorder the corpus —
   // per-session ordering is what's under test, not link reordering).
-  for (const auto [seq, session] :
+  for (const auto& [seq, session] :
        {std::pair<uint32_t, uint16_t>{5, 1}, {5, 2}, {6, 1}, {6, 2}}) {
     switcher.downlink().send(frame_wrap(1, 3, seq, env, 0, 0, session), clock.now());
     pump_until(clock.now() + 0.3);
@@ -397,21 +397,37 @@ TEST_F(SwitcherTest, SequencingIsPerSessionNotGlobal) {
 }
 
 TEST_F(SwitcherTest, SendStampsConfiguredSessionId) {
+  // What Switcher::send puts on the air: each frame is taken off the uplink
+  // before the Switcher's own step() can consume it.
+  auto pub = graph.advertise<msg::TwistMsg>("lgv_node", "cmd");
+  graph.subscribe<msg::TwistMsg>("cloud_node", "cmd", [](const msg::TwistMsg&) {});
+  auto next_frame = [&]() -> std::vector<uint8_t> {
+    pub.publish({});
+    for (int i = 0; i < 100; ++i) {
+      clock.advance(0.005);
+      switcher.uplink().step(clock.now());
+      std::vector<net::Packet> delivered = switcher.uplink().poll_delivered(clock.now());
+      if (!delivered.empty()) return std::move(delivered.front().payload);
+    }
+    return {};
+  };
+
+  // Session 0 (a standalone vehicle) emits the v2 layout.
+  EXPECT_EQ(switcher.session_id(), 0u);
+  const std::vector<uint8_t> v2 = next_frame();
+  ASSERT_EQ(frame_check(v2), nullptr);
+  EXPECT_EQ(v2[2], 2);  // version byte
+  EXPECT_EQ(frame_header_size(v2), kFrameHeaderSize);
+  EXPECT_EQ(frame_session_id(v2), 0u);
+
+  // A fleet session id switches the emission to v3, carrying the id.
   switcher.set_session_id(9);
   EXPECT_EQ(switcher.session_id(), 9u);
-  auto pub = graph.advertise<msg::TwistMsg>("lgv_node", "cmd");
-  uint16_t seen_session = 0;
-  graph.subscribe<msg::TwistMsg>("cloud_node", "cmd",
-                                 [&](const msg::TwistMsg&) {});
-  // Capture the frame on the uplink by checking delivered bytes via stats is
-  // indirect; instead wrap what send would produce: the switcher's own
-  // frames must be v3 with session 9. Exercise the full path and rely on
-  // delivery (a mis-keyed or malformed frame would be rejected).
-  pub.publish({});
-  graph.spin();
-  pump_until(0.5);
-  EXPECT_EQ(switcher.stats().uplink_messages, 1u);
-  EXPECT_EQ(switcher.stats().frames_rejected, 0u);
+  const std::vector<uint8_t> v3 = next_frame();
+  ASSERT_EQ(frame_check(v3), nullptr);
+  EXPECT_EQ(v3[2], 3);
+  EXPECT_EQ(frame_header_size(v3), kFrameHeaderSizeV3);
+  EXPECT_EQ(frame_session_id(v3), 9u);
 }
 
 TEST_F(SwitcherTest, V1FramesRejectedAsBadVersion) {
