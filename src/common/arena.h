@@ -111,8 +111,10 @@ class Arena {
     size_t next = blocks_.empty() ? 0 : block_ + 1;
     while (next < blocks_.size() && blocks_[next].size < want) ++next;
     if (next >= blocks_.size()) {
+      // Uninitialized, as alloc_array promises: a value-initialized block
+      // would make every page of it resident whether or not it is touched.
       Block b;
-      b.data = std::make_unique<uint8_t[]>(want);
+      b.data = std::make_unique_for_overwrite<uint8_t[]>(want);
       b.size = want;
       blocks_.push_back(std::move(b));
       next = blocks_.size() - 1;

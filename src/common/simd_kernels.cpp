@@ -50,6 +50,23 @@ double score_hits(Level level, const ScoreHitsArgs& args) {
 #endif
 }
 
+void min_obstacle_d2(Level level, const NeighborArgs& args, double* out_d2) {
+  level = clamp_to_build(level);
+  assert(level != Level::kScalar && "caller owns the scalar path");
+#if defined(LGV_HAVE_AVX2)
+  if (level == Level::kAVX2) {
+    detail::min_obstacle_d2_avx2(args, out_d2);
+    return;
+  }
+#endif
+#if defined(LGV_HAVE_SSE2)
+  detail::min_obstacle_d2_sse2(args, out_d2);
+#else
+  (void)args;
+  (void)out_d2;
+#endif
+}
+
 void exp_array(Level level, const double* x, double* out, size_t n) {
   level = clamp_to_build(level);
 #if defined(LGV_HAVE_AVX2)

@@ -14,9 +14,13 @@
 //            exp(−d²/2σ²), summed. Equal to the scalar value up to reduction
 //            order and the vectorized exp's ≤2 ulp.
 //
-// exp_neg_array is stage C's exponential exposed on its own for accuracy
-// tests. All entry points take an explicit Level so equivalence tests can
-// exercise a specific path; callers normally pass simd::active_level().
+// AMCL's measurement model runs stage A (endpoints only) and min_obstacle_d2,
+// stage C's neighbour minimum on its own: bit-identical to
+// LikelihoodField::min_obstacle_d2, so its exp/log sum stays scalar and exact.
+//
+// exp_array is stage C's exponential exposed on its own for accuracy tests.
+// All entry points take an explicit Level so equivalence tests can exercise a
+// specific path; callers normally pass simd::active_level().
 #pragma once
 
 #include <cstddef>
@@ -28,7 +32,8 @@ namespace lgv::simd {
 
 struct TransformProjectArgs {
   size_t n = 0;
-  // Sensor-frame SoA endpoint arrays (PrecomputedScan layout).
+  // Sensor-frame SoA endpoint arrays (PrecomputedScan layout). With no
+  // before_x, the free-space points and their two outputs are skipped.
   const double* end_x = nullptr;
   const double* end_y = nullptr;
   const double* before_x = nullptr;
@@ -46,9 +51,9 @@ struct TransformProjectArgs {
   int32_t* out_before_cy = nullptr;
 };
 
-struct ScoreHitsArgs {
+struct NeighborArgs {
   size_t n = 0;
-  // Hit-compacted arrays: world endpoint, its cell, the field entry's 9-bit
+  // Per beam: world endpoint, its cell, the field entry's 9-bit
   // neighbor-occupancy mask.
   const double* end_x = nullptr;
   const double* end_y = nullptr;
@@ -56,6 +61,9 @@ struct ScoreHitsArgs {
   const int32_t* cell_y = nullptr;
   const int32_t* neighbor_mask = nullptr;
   double origin_x = 0.0, origin_y = 0.0, resolution = 1.0;
+};
+
+struct ScoreHitsArgs : NeighborArgs {
   double two_sigma2 = 1.0;  ///< 2σ², the exp kernel denominator
 };
 
@@ -66,15 +74,22 @@ void transform_project(Level level, const TransformProjectArgs& args);
 /// Stage C; returns Σ exp(−min_d²/2σ²) over the hits.
 double score_hits(Level level, const ScoreHitsArgs& args);
 
+/// out_d2[i] = min squared distance from endpoint i to the center of an
+/// occupied cell of its 3×3 neighbourhood, +infinity for an empty mask; the
+/// same bits as LikelihoodField::min_obstacle_d2.
+void min_obstacle_d2(Level level, const NeighborArgs& args, double* out_d2);
+
 /// out[i] = exp(x[i]) via the vectorized exponential (≤2 ulp of libm).
 void exp_array(Level level, const double* x, double* out, size_t n);
 
 namespace detail {
 void transform_project_sse2(const TransformProjectArgs& args);
 double score_hits_sse2(const ScoreHitsArgs& args);
+void min_obstacle_d2_sse2(const NeighborArgs& args, double* out_d2);
 void exp_array_sse2(const double* x, double* out, size_t n);
 void transform_project_avx2(const TransformProjectArgs& args);
 double score_hits_avx2(const ScoreHitsArgs& args);
+void min_obstacle_d2_avx2(const NeighborArgs& args, double* out_d2);
 void exp_array_avx2(const double* x, double* out, size_t n);
 }  // namespace detail
 

@@ -18,6 +18,10 @@ double score_hits_avx2(const ScoreHitsArgs& args) {
   return score_hits_impl<VecAVX2>(args);
 }
 
+void min_obstacle_d2_avx2(const NeighborArgs& args, double* out_d2) {
+  min_obstacle_d2_impl<VecAVX2>(args, out_d2);
+}
+
 void exp_array_avx2(const double* x, double* out, size_t n) {
   exp_array_impl<VecAVX2>(x, out, n);
 }

@@ -55,52 +55,81 @@ void transform_project_impl(const TransformProjectArgs& a) {
   const V ox = V::set1(a.origin_x), oy = V::set1(a.origin_y);
   const V res = V::set1(a.resolution);
 
+  // Transform + project W points (world coordinates stored when asked).
   // Mirrors the scalar reference op-for-op (mul, mul, add, sub — no fma;
   // division, not reciprocal-multiply) so the cell indices are bit-identical.
-  auto group = [&](const double* bex, const double* bey, const double* bbx,
-                   const double* bby, double* oex, double* oey, int32_t* ocx,
-                   int32_t* ocy, int32_t* obx, int32_t* oby) {
-    const V exl = V::load(bex), eyl = V::load(bey);
-    const V wx = (px + ct * exl) - st * eyl;
-    const V wy = (py + st * exl) + ct * eyl;
-    V::store(oex, wx);
-    V::store(oey, wy);
+  auto project = [&](const double* lx_p, const double* ly_p, double* owx, double* owy,
+                     int32_t* ocx, int32_t* ocy) {
+    const V lx = V::load(lx_p), ly = V::load(ly_p);
+    const V wx = (px + ct * lx) - st * ly;
+    const V wy = (py + st * lx) + ct * ly;
+    if (owx != nullptr) {
+      V::store(owx, wx);
+      V::store(owy, wy);
+    }
     V::store_floor_i32(ocx, V::floor((wx - ox) / res));
     V::store_floor_i32(ocy, V::floor((wy - oy) / res));
-    const V bxl = V::load(bbx), byl = V::load(bby);
-    const V vx = (px + ct * bxl) - st * byl;
-    const V vy = (py + st * bxl) + ct * byl;
-    V::store_floor_i32(obx, V::floor((vx - ox) / res));
-    V::store_floor_i32(oby, V::floor((vy - oy) / res));
   };
+  const bool with_before = a.before_x != nullptr;
 
   size_t i = 0;
   for (; i + W <= a.n; i += W) {
-    group(a.end_x + i, a.end_y + i, a.before_x + i, a.before_y + i,
-          a.out_end_x + i, a.out_end_y + i, a.out_end_cx + i, a.out_end_cy + i,
-          a.out_before_cx + i, a.out_before_cy + i);
+    project(a.end_x + i, a.end_y + i, a.out_end_x + i, a.out_end_y + i,
+            a.out_end_cx + i, a.out_end_cy + i);
+    if (with_before) {
+      project(a.before_x + i, a.before_y + i, nullptr, nullptr, a.out_before_cx + i,
+              a.out_before_cy + i);
+    }
   }
   if (i < a.n) {
     const size_t rem = a.n - i;
-    alignas(32) double bex[W], bey[W], bbx[W], bby[W], oex[W], oey[W];
-    alignas(32) int32_t ocx[W], ocy[W], obx[W], oby[W];
-    for (int l = 0; l < W; ++l) {
-      const size_t s = i + (static_cast<size_t>(l) < rem ? l : rem - 1);
-      bex[l] = a.end_x[s];
-      bey[l] = a.end_y[s];
-      bbx[l] = a.before_x[s];
-      bby[l] = a.before_y[s];
-    }
-    group(bex, bey, bbx, bby, oex, oey, ocx, ocy, obx, oby);
-    for (size_t l = 0; l < rem; ++l) {
-      a.out_end_x[i + l] = oex[l];
-      a.out_end_y[i + l] = oey[l];
-      a.out_end_cx[i + l] = ocx[l];
-      a.out_end_cy[i + l] = ocy[l];
-      a.out_before_cx[i + l] = obx[l];
-      a.out_before_cy[i + l] = oby[l];
+    alignas(32) double lx[W], ly[W], wx[W], wy[W];
+    alignas(32) int32_t cx[W], cy[W];
+    const auto tail = [&](const double* src_x, const double* src_y, double* dst_x,
+                          double* dst_y, int32_t* dst_cx, int32_t* dst_cy) {
+      for (int l = 0; l < W; ++l) {
+        const size_t s = i + (static_cast<size_t>(l) < rem ? l : rem - 1);
+        lx[l] = src_x[s];
+        ly[l] = src_y[s];
+      }
+      project(lx, ly, wx, wy, cx, cy);
+      for (size_t l = 0; l < rem; ++l) {
+        if (dst_x != nullptr) {
+          dst_x[i + l] = wx[l];
+          dst_y[i + l] = wy[l];
+        }
+        dst_cx[i + l] = cx[l];
+        dst_cy[i + l] = cy[l];
+      }
+    };
+    tail(a.end_x, a.end_y, a.out_end_x, a.out_end_y, a.out_end_cx, a.out_end_cy);
+    if (with_before) {
+      tail(a.before_x, a.before_y, nullptr, nullptr, a.out_before_cx, a.out_before_cy);
     }
   }
+}
+
+/// Min over the masked 3×3 neighbours of the squared distance from (ex, ey)
+/// to the neighbour cell's center; +infinity where the mask is empty.
+/// Replays LikelihoodField::min_obstacle_d2: cell + offset + 0.5 is exact in
+/// double, so ox + (cx + off) * res is its cell_to_world, and d² is
+/// (dx*dx) + (dy*dy). The minimum of non-NaN values is exact in any order,
+/// so a mask blend over all 9 bits replaces the ctz loop.
+template <class V>
+inline V neighbor_min_d2(V ex, V ey, V cx, V cy, const int32_t* mask_p, V ox, V oy,
+                         V res) {
+  V d2min = V::set1(std::numeric_limits<double>::infinity());
+  for (int k = 0; k < 9; ++k) {
+    const double offx = static_cast<double>(k % 3 - 1) + 0.5;
+    const double offy = static_cast<double>(k / 3 - 1) + 0.5;
+    const V cwx = ox + (cx + V::set1(offx)) * res;
+    const V cwy = oy + (cy + V::set1(offy)) * res;
+    const V dx = cwx - ex, dy = cwy - ey;
+    const V d2 = (dx * dx) + (dy * dy);
+    const V m = V::bitmask_from_i32(mask_p, 1 << k);
+    d2min = V::select(m, V::min(d2min, d2), d2min);
+  }
+  return d2min;
 }
 
 template <class V>
@@ -109,27 +138,12 @@ double score_hits_impl(const ScoreHitsArgs& a) {
   const V ox = V::set1(a.origin_x), oy = V::set1(a.origin_y);
   const V res = V::set1(a.resolution);
   const V ts2 = V::set1(a.two_sigma2);
-  const V inf = V::set1(std::numeric_limits<double>::infinity());
 
-  // exp(−d²min/2σ²) of one W-wide group; the neighbor min replays the
-  // scalar min_obstacle_d2 arithmetic (cell+offset+0.5 is exact in double,
-  // the sub/mul/add sequence matches), just over all 9 bits with a mask
-  // blend instead of a ctz loop.
+  // exp(−d²min/2σ²) of one W-wide group.
   auto group = [&](const double* ex_p, const double* ey_p, const int32_t* cx_p,
                    const int32_t* cy_p, const int32_t* mask_p) -> V {
-    const V ex = V::load(ex_p), ey = V::load(ey_p);
-    const V cx = V::from_i32(cx_p), cy = V::from_i32(cy_p);
-    V d2min = inf;
-    for (int k = 0; k < 9; ++k) {
-      const double offx = static_cast<double>(k % 3 - 1) + 0.5;
-      const double offy = static_cast<double>(k / 3 - 1) + 0.5;
-      const V cwx = ox + (cx + V::set1(offx)) * res;
-      const V cwy = oy + (cy + V::set1(offy)) * res;
-      const V dx = cwx - ex, dy = cwy - ey;
-      const V d2 = (dx * dx) + (dy * dy);
-      const V m = V::bitmask_from_i32(mask_p, 1 << k);
-      d2min = V::select(m, V::min(d2min, d2), d2min);
-    }
+    const V d2min = neighbor_min_d2<V>(V::load(ex_p), V::load(ey_p), V::from_i32(cx_p),
+                                       V::from_i32(cy_p), mask_p, ox, oy, res);
     return exp_pd<V>(V::zero() - (d2min / ts2));
   };
 
@@ -159,6 +173,36 @@ double score_hits_impl(const ScoreHitsArgs& a) {
     for (size_t l = 0; l < rem; ++l) sum += lanes[l];
   }
   return sum;
+}
+
+template <class V>
+void min_obstacle_d2_impl(const NeighborArgs& a, double* out_d2) {
+  constexpr int W = V::kWidth;
+  const V ox = V::set1(a.origin_x), oy = V::set1(a.origin_y);
+  const V res = V::set1(a.resolution);
+  size_t i = 0;
+  for (; i + W <= a.n; i += W) {
+    V::store(out_d2 + i,
+             neighbor_min_d2<V>(V::load(a.end_x + i), V::load(a.end_y + i),
+                                V::from_i32(a.cell_x + i), V::from_i32(a.cell_y + i),
+                                a.neighbor_mask + i, ox, oy, res));
+  }
+  if (i < a.n) {
+    const size_t rem = a.n - i;
+    alignas(32) double ex[W], ey[W], d2[W];
+    alignas(32) int32_t cx[W], cy[W], mk[W];
+    for (int l = 0; l < W; ++l) {
+      const size_t s = i + (static_cast<size_t>(l) < rem ? l : rem - 1);
+      ex[l] = a.end_x[s];
+      ey[l] = a.end_y[s];
+      cx[l] = a.cell_x[s];
+      cy[l] = a.cell_y[s];
+      mk[l] = a.neighbor_mask[s];
+    }
+    V::store(d2, neighbor_min_d2<V>(V::load(ex), V::load(ey), V::from_i32(cx),
+                                    V::from_i32(cy), mk, ox, oy, res));
+    for (size_t l = 0; l < rem; ++l) out_d2[i + l] = d2[l];
+  }
 }
 
 template <class V>

@@ -17,6 +17,10 @@ double score_hits_sse2(const ScoreHitsArgs& args) {
   return score_hits_impl<VecSSE2>(args);
 }
 
+void min_obstacle_d2_sse2(const NeighborArgs& args, double* out_d2) {
+  min_obstacle_d2_impl<VecSSE2>(args, out_d2);
+}
+
 void exp_array_sse2(const double* x, double* out, size_t n) {
   exp_array_impl<VecSSE2>(x, out, n);
 }

@@ -1,9 +1,9 @@
 // Per-ISA double-lane wrapper structs for the templated kernel bodies in
-// simd_kernels_impl.h / rollout_kernels_impl.h. Each SIMD translation unit
-// instantiates the kernels with the wrapper its compile flags make available
-// (VecSSE2 under __SSE2__, VecAVX2 under __AVX2__); the wrappers themselves
-// are only defined when the corresponding ISA macro is set, so including
-// this header from a plain TU is harmless.
+// simd_kernels_impl.h, rollout_kernels_impl.h and raycast_kernels_impl.h.
+// Each SIMD translation unit instantiates the kernels with the wrapper its
+// compile flags make available (VecSSE2 under __SSE2__, VecAVX2 under
+// __AVX2__); the wrappers themselves are only defined when the corresponding
+// ISA macro is set, so including this header from a plain TU is harmless.
 //
 // Numerics contract (docs/kernels.md): plain +,-,*,/ and floor() are exactly
 // the IEEE operations the scalar reference performs (the SIMD TUs build with
@@ -47,6 +47,9 @@ struct VecSSE2 {
   static VecSSE2 max(VecSSE2 a, VecSSE2 b) { return {_mm_max_pd(a.v, b.v)}; }
   static VecSSE2 cmp_gt(VecSSE2 a, VecSSE2 b) { return {_mm_cmpgt_pd(a.v, b.v)}; }
   static VecSSE2 cmp_lt(VecSSE2 a, VecSSE2 b) { return {_mm_cmplt_pd(a.v, b.v)}; }
+  static VecSSE2 cmp_le(VecSSE2 a, VecSSE2 b) { return {_mm_cmple_pd(a.v, b.v)}; }
+  /// Bit l set where lane l of a comparison mask is all-ones.
+  static int movemask(VecSSE2 mask) { return _mm_movemask_pd(mask.v); }
   static VecSSE2 and_(VecSSE2 a, VecSSE2 b) { return {_mm_and_pd(a.v, b.v)}; }
   static VecSSE2 select(VecSSE2 mask, VecSSE2 a, VecSSE2 b) {
     return {_mm_or_pd(_mm_and_pd(mask.v, a.v), _mm_andnot_pd(mask.v, b.v))};
@@ -119,9 +122,16 @@ struct VecAVX2 {
   static VecAVX2 cmp_lt(VecAVX2 a, VecAVX2 b) {
     return {_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)};
   }
+  static VecAVX2 cmp_le(VecAVX2 a, VecAVX2 b) {
+    return {_mm256_cmp_pd(a.v, b.v, _CMP_LE_OQ)};
+  }
+  static int movemask(VecAVX2 mask) { return _mm256_movemask_pd(mask.v); }
   static VecAVX2 and_(VecAVX2 a, VecAVX2 b) { return {_mm256_and_pd(a.v, b.v)}; }
+  /// Bitwise, like VecSSE2's: GCC rewrites _mm256_blendv_pd as a select on
+  /// mask < 0 and re-derives the mask with a vpcmpgtq, three cycles on the
+  /// fan ray-cast's loop-carried chain.
   static VecAVX2 select(VecAVX2 mask, VecAVX2 a, VecAVX2 b) {
-    return {_mm256_blendv_pd(b.v, a.v, mask.v)};
+    return {_mm256_or_pd(_mm256_and_pd(mask.v, a.v), _mm256_andnot_pd(mask.v, b.v))};
   }
 
   static VecAVX2 floor(VecAVX2 a) { return {_mm256_floor_pd(a.v)}; }

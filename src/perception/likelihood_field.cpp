@@ -2,19 +2,6 @@
 
 namespace lgv::perception {
 
-int LikelihoodField::count_trailing_zeros(uint16_t v) {
-#if defined(__GNUC__) || defined(__clang__)
-  return __builtin_ctz(v);
-#else
-  int k = 0;
-  while ((v & 1u) == 0) {
-    v >>= 1;
-    ++k;
-  }
-  return k;
-#endif
-}
-
 void LikelihoodField::rebuild_cell(const OccupancyGrid& map, CellIndex c) {
   uint16_t e = map.is_unknown(c) ? kUnknownBit : uint16_t{0};
   uint16_t bit = 1;

@@ -33,6 +33,7 @@
 // it rebuilds on first use.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -87,7 +88,7 @@ class LikelihoodField {
     uint16_t mask = entry(c) & kNeighborMask;
     double best = std::numeric_limits<double>::infinity();
     while (mask != 0) {
-      const int k = count_trailing_zeros(mask);
+      const int k = std::countr_zero(mask);
       mask = static_cast<uint16_t>(mask & (mask - 1));
       const Point2D cw = frame_.cell_to_world({c.x + k % 3 - 1, c.y + k / 3 - 1});
       const double dx = cw.x - p.x, dy = cw.y - p.y;
@@ -97,7 +98,6 @@ class LikelihoodField {
   }
 
  private:
-  static int count_trailing_zeros(uint16_t v);
   bool compatible_with(const OccupancyGrid& map) const {
     return !empty() && map_id_ == map.map_id() && width_ == map.width() &&
            height_ == map.height() && frame_ == map.frame();

@@ -1,6 +1,9 @@
 #include "sim/lidar.h"
 
 #include <algorithm>
+#include <cmath>
+
+#include "common/arena.h"
 
 namespace lgv::sim {
 
@@ -13,10 +16,24 @@ msg::LaserScan Lidar::scan(const World& world, const Pose2D& pose, double stamp)
   s.angle_increment = config_.fov_rad / static_cast<double>(config_.beams);
   s.range_min = config_.min_range;
   s.range_max = config_.max_range;
-  s.ranges.resize(static_cast<size_t>(config_.beams));
+  const size_t n = static_cast<size_t>(config_.beams);
+  s.ranges.resize(n);
+
+  Arena& arena = thread_scratch();
+  const Arena::Scope scope(arena);
+  double* dx = arena.alloc_array<double>(n);
+  double* dy = arena.alloc_array<double>(n);
+  double* cast = arena.alloc_array<double>(n);
   for (int i = 0; i < config_.beams; ++i) {
     const double beam_angle = pose.theta + s.angle_min + s.angle_increment * i;
-    double r = world.raycast(pose.position(), beam_angle, config_.max_range);
+    dx[i] = std::cos(beam_angle);
+    dy[i] = std::sin(beam_angle);
+  }
+  world.raycast_fan(pose.position(), dx, dy, n, config_.max_range, cast);
+
+  // Noise in beam order, so the RNG draws are those of a beam-by-beam scan.
+  for (int i = 0; i < config_.beams; ++i) {
+    double r = cast[i];
     if (r < config_.max_range) {
       r += rng_.gaussian(0.0, config_.range_noise_sigma);
       r = std::clamp(r, config_.min_range, config_.max_range);

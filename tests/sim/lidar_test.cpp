@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numbers>
+#include <vector>
+
+#include "common/simd.h"
+#include "sim/scenario.h"
 
 namespace lgv::sim {
 namespace {
@@ -67,6 +72,37 @@ TEST(Lidar, RangesClampedToValidInterval) {
   for (float r : s.ranges) {
     // float storage may round the clamped min down by one ULP.
     if (r <= s.range_max) EXPECT_GE(r, s.range_min - 1e-6);
+  }
+}
+
+TEST(Lidar, ScanIdenticalAtEveryLevel) {
+  // A scalar-pinned lidar and one at each vector level, same seed, along the
+  // same lab path: byte-equal ranges on every scan also pin the noise draws.
+  const Scenario lab = make_lab_scenario();
+  const auto path_scans = [&](simd::Level level) {
+    simd::force_level(level);
+    Lidar lidar({}, 99);
+    std::vector<msg::LaserScan> scans;
+    for (int k = 0; k < 100; ++k) {
+      const double f = k / 99.0;
+      const Pose2D pose{lab.start.x + (lab.goal.x - lab.start.x) * f,
+                        lab.start.y + (lab.goal.y - lab.start.y) * f, 0.07 * k};
+      scans.push_back(lidar.scan(lab.world, pose, 0.2 * k));
+    }
+    simd::clear_forced_level();
+    return scans;
+  };
+  const std::vector<msg::LaserScan> ref = path_scans(simd::Level::kScalar);
+  for (simd::Level level : {simd::Level::kSSE2, simd::Level::kAVX2}) {
+    if (simd::detected_level() < level) continue;
+    const std::vector<msg::LaserScan> got = path_scans(level);
+    for (size_t k = 0; k < ref.size(); ++k) {
+      ASSERT_EQ(got[k].ranges.size(), ref[k].ranges.size());
+      EXPECT_EQ(std::memcmp(got[k].ranges.data(), ref[k].ranges.data(),
+                            ref[k].ranges.size() * sizeof(float)),
+                0)
+          << simd::level_name(level) << " scan " << k;
+    }
   }
 }
 
