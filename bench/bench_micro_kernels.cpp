@@ -7,7 +7,8 @@
 //
 // `--wallclock-json` switches to a self-contained A/B harness that times the
 // two hand-vectorized kernels (scanMatch score, trajectory-rollout scoring)
-// scalar-vs-SIMD with median-of-N steady-clock runs and writes
+// scalar-vs-SIMD with median-of-N steady-clock runs, the two legs' runs
+// interleaved, and writes
 // BENCH_kernel_wallclock.json (consumed by tools/run_kernel_bench.sh and the
 // CI kernel-bench job). Without the flag it is a normal google-benchmark
 // binary.
@@ -190,6 +191,41 @@ void BM_CostmapSetStaticMap(benchmark::State& state) {
 }
 BENCHMARK(BM_CostmapSetStaticMap)->Arg(0)->Arg(1);
 
+/// OccupancyGrid::from_binary, the known-map seeding every navigation
+/// mission starts with, on the lab world (Arg 0) and a fleet world (Arg 1).
+void BM_OccupancyFromBinary(benchmark::State& state) {
+  static const sim::Scenario lab = sim::make_lab_scenario();
+  static const sim::Scenario fleet = sim::make_fleet_scenario(5, 64);
+  const bool is_lab = state.range(0) == 0;
+  state.SetLabel(is_lab ? "lab" : "fleet");
+  const sim::World& world = (is_lab ? lab : fleet).world;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        perception::OccupancyGrid::from_binary(world.frame(), world.grid()));
+  }
+}
+BENCHMARK(BM_OccupancyFromBinary)->Arg(0)->Arg(1);
+
+/// OccupancyGrid::to_msg on the lab known map (Arg 0, two distinct log-odds
+/// values) and on an office map after 300 scans integrated at the drifting
+/// odometry pose (Arg 1, hundreds of distinct values).
+void BM_OccupancyToMsg(benchmark::State& state) {
+  static const perception::OccupancyGrid office = [] {
+    const sim::Scenario s = sim::make_office_scenario();
+    perception::OccupancyGrid g(s.world.frame().origin, s.world.width_m(),
+                                s.world.height_m());
+    for (const sim::ScanLogEntry& e : sim::record_scan_log(s, 0.4, 0.2, 300)) {
+      g.integrate_scan(e.odom_pose, e.scan);
+    }
+    return g;
+  }();
+  const bool is_lab = state.range(0) == 0;
+  state.SetLabel(is_lab ? "lab" : "office");
+  const perception::OccupancyGrid& map = is_lab ? fixture().map : office;
+  for (auto _ : state) benchmark::DoNotOptimize(map.to_msg(0.0));
+}
+BENCHMARK(BM_OccupancyToMsg)->Arg(0)->Arg(1);
+
 void BM_TrajectoryRollout(benchmark::State& state) {
   Fixture& fx = fixture();
   control::RolloutConfig cfg;
@@ -345,25 +381,25 @@ WallKernelResult wallclock_scan_match(int runs, int iters) {
                   fx.scenario.start.y - 0.008 * (i % 5),
                   fx.scenario.start.theta + 0.005 * (i % 9)};
   };
-  const auto leg = [&](simd::Level level, double* checksum) {
+  const auto rep = [&](simd::Level level, double* checksum) {
     simd::force_level(level);
-    const double s = lgv::bench::time_median(runs, [&] {
-      double sum = 0.0;
-      for (int i = 0; i < iters; ++i) {
-        sum += matcher.score(field, pose_at(i), pre, nullptr);
-      }
-      benchmark::DoNotOptimize(sum);
-      *checksum = sum;
-    });
+    double sum = 0.0;
+    for (int i = 0; i < iters; ++i) {
+      sum += matcher.score(field, pose_at(i), pre, nullptr);
+    }
+    benchmark::DoNotOptimize(sum);
+    *checksum = sum;
     simd::clear_forced_level();
-    return s * 1e9 / iters;
   };
   WallKernelResult r;
   r.name = "scan_match_score";
   r.iters = iters;
   double scalar_sum = 0.0, simd_sum = 0.0;
-  r.scalar_ns = leg(simd::Level::kScalar, &scalar_sum);
-  r.simd_ns = leg(simd::detected_level(), &simd_sum);
+  const auto [scalar_s, simd_s] = lgv::bench::time_interleaved_medians(
+      runs, [&] { rep(simd::Level::kScalar, &scalar_sum); },
+      [&] { rep(simd::detected_level(), &simd_sum); });
+  r.scalar_ns = scalar_s * 1e9 / iters;
+  r.simd_ns = simd_s * 1e9 / iters;
   r.speedup = r.simd_ns > 0.0 ? r.scalar_ns / r.simd_ns : 0.0;
   r.rel_err = std::abs(scalar_sum - simd_sum) / std::max(1.0, std::abs(scalar_sum));
   r.agree = r.rel_err <= 1e-9;
@@ -380,28 +416,27 @@ WallKernelResult wallclock_score_trajectory(int runs, int iters) {
   scalar_cfg.use_simd = false;
   control::RolloutConfig simd_cfg = scalar_cfg;
   simd_cfg.use_simd = true;
-  const auto leg = [&](const control::RolloutConfig& cfg, double* checksum) {
-    control::TrajectoryRollout rollout(cfg);
-    platform::ExecutionContext ctx;
-    const double s = lgv::bench::time_median(runs, [&] {
-      double sum = 0.0;
-      for (int i = 0; i < iters; ++i) {
-        const control::RolloutDecision d = rollout.compute(
-            fx.costmap, fx.path, fx.scenario.start, {0.2, 0.0}, 0.6, ctx);
-        ctx.reset();
-        sum += d.stats.best_score + d.command.linear + d.command.angular;
-      }
-      benchmark::DoNotOptimize(sum);
-      *checksum = sum;
-    });
-    return s * 1e9 / iters;
+  control::TrajectoryRollout scalar_rollout(scalar_cfg), simd_rollout(simd_cfg);
+  platform::ExecutionContext ctx;
+  const auto rep = [&](control::TrajectoryRollout& rollout, double* checksum) {
+    double sum = 0.0;
+    for (int i = 0; i < iters; ++i) {
+      const control::RolloutDecision d = rollout.compute(
+          fx.costmap, fx.path, fx.scenario.start, {0.2, 0.0}, 0.6, ctx);
+      ctx.reset();
+      sum += d.stats.best_score + d.command.linear + d.command.angular;
+    }
+    benchmark::DoNotOptimize(sum);
+    *checksum = sum;
   };
   WallKernelResult r;
   r.name = "score_trajectory";
   r.iters = iters;
   double scalar_sum = 0.0, simd_sum = 0.0;
-  r.scalar_ns = leg(scalar_cfg, &scalar_sum);
-  r.simd_ns = leg(simd_cfg, &simd_sum);
+  const auto [scalar_s, simd_s] = lgv::bench::time_interleaved_medians(
+      runs, [&] { rep(scalar_rollout, &scalar_sum); }, [&] { rep(simd_rollout, &simd_sum); });
+  r.scalar_ns = scalar_s * 1e9 / iters;
+  r.simd_ns = simd_s * 1e9 / iters;
   r.speedup = r.simd_ns > 0.0 ? r.scalar_ns / r.simd_ns : 0.0;
   r.rel_err = std::abs(scalar_sum - simd_sum) / std::max(1.0, std::abs(scalar_sum));
   r.agree = r.rel_err <= 1e-6;

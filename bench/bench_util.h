@@ -45,17 +45,21 @@ inline double median(std::vector<double> xs) {
   return xs.size() % 2 == 1 ? xs[mid] : 0.5 * (xs[mid - 1] + xs[mid]);
 }
 
-/// Run `fn` `runs` times and return the median wall-clock seconds of one run.
-template <typename Fn>
-double time_median(int runs, Fn&& fn) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<size_t>(runs));
+/// Median wall-clock seconds of one run of `a` and of `b`, over `runs` runs
+/// of each, interleaved (a, b, a, b, ...) so that load drift on a shared
+/// host falls on both alike rather than on whichever runs last.
+template <typename A, typename B>
+std::pair<double, double> time_interleaved_medians(int runs, A&& a, B&& b) {
+  std::vector<double> a_s, b_s;
   for (int r = 0; r < runs; ++r) {
     WallTimer t;
-    fn();
-    samples.push_back(t.seconds());
+    a();
+    a_s.push_back(t.seconds());
+    t.reset();
+    b();
+    b_s.push_back(t.seconds());
   }
-  return median(std::move(samples));
+  return {median(std::move(a_s)), median(std::move(b_s))};
 }
 
 inline void print_title(const std::string& title) {

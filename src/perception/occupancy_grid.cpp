@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace lgv::perception {
 
@@ -42,6 +44,18 @@ void bump_write_version_past(uint64_t v) {
 constexpr uint64_t kMaxWireCells = uint64_t{1} << 26;
 
 bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof(float)) == 0; }
+
+/// The value update_cell writes for a cell holding `old`: the evidence sum
+/// clamped to the config's range, nudged off zero so an observed cell never
+/// reads as unknown.
+float next_log_odds(float old, double delta, const OccupancyGridConfig& config) {
+  const float next = static_cast<float>(std::clamp(static_cast<double>(old) + delta,
+                                                   config.log_odds_min, config.log_odds_max));
+  if (next == 0.0f) return delta < 0 ? -1e-3f : 1e-3f;  // stay "known"
+  return next;
+}
+
+double probability_of(double log_odds) { return 1.0 - 1.0 / (1.0 + std::exp(log_odds)); }
 
 /// Full-snapshot cell payload as (run_len, value) runs of bit-identical
 /// floats. Occupancy grids are long stretches of unknown (0.0f) and
@@ -100,8 +114,7 @@ double OccupancyGrid::log_odds_at(CellIndex c) const {
 }
 
 double OccupancyGrid::probability_at(CellIndex c) const {
-  const double l = log_odds_at(c);
-  return 1.0 - 1.0 / (1.0 + std::exp(l));
+  return probability_of(log_odds_at(c));
 }
 
 bool OccupancyGrid::is_occupied(CellIndex c) const {
@@ -152,9 +165,7 @@ void OccupancyGrid::update_cell(CellIndex c, double delta) {
   const float old = log_odds_.at(c);
   const bool was_unknown = old == 0.0f;
   const bool was_occupied = occupied_log_odds(old);
-  float next = static_cast<float>(std::clamp(static_cast<double>(old) + delta,
-                                             config_.log_odds_min, config_.log_odds_max));
-  if (next == 0.0f) next = delta < 0 ? -1e-3f : 1e-3f;  // stay "known"
+  const float next = next_log_odds(old, delta, config_);
   // Saturated cells re-observed with the same evidence land on the same
   // clamped value; skipping the write keeps a CoW-shared block shared.
   if (same_bits(next, old)) return;
@@ -202,14 +213,24 @@ msg::OccupancyGridMsg OccupancyGrid::to_msg(double stamp) const {
   m.width = log_odds_.width();
   m.height = log_odds_.height();
   m.data.resize(static_cast<size_t>(m.width) * m.height, msg::kUnknownCell);
-  for (int y = 0; y < m.height; ++y) {
-    for (int x = 0; x < m.width; ++x) {
-      const CellIndex c{x, y};
-      if (is_unknown(c)) continue;
-      const double p = probability_at(c);
-      m.data[static_cast<size_t>(y) * m.width + x] =
-          static_cast<int8_t>(std::lround(p * 100.0));
+  // A known cell's byte is a pure function of its float's bits, and maps
+  // hold few distinct values (a seeded known map two, a SLAM map a few
+  // hundred), so each distinct value costs one exp and each run of
+  // bit-identical cells one lookup. The unknown test comes first, as in
+  // is_unknown, so -0.0f stays unknown.
+  const float* cells = log_odds_.data().data();
+  const size_t n = m.data.size();
+  std::unordered_map<uint32_t, int8_t> bytes;
+  for (size_t i = 0; i < n;) {
+    const float v = cells[i];
+    size_t end = i + 1;
+    while (end < n && same_bits(cells[end], v)) ++end;
+    if (v != 0.0f) {
+      const auto [it, inserted] = bytes.try_emplace(std::bit_cast<uint32_t>(v), 0);
+      if (inserted) it->second = static_cast<int8_t>(std::lround(probability_of(v) * 100.0));
+      std::memset(m.data.data() + i, it->second, end - i);
     }
+    i = end;
   }
   return m;
 }
@@ -440,10 +461,39 @@ OccupancyGrid OccupancyGrid::from_binary(const GridFrame& frame, const Grid<uint
   config.resolution = frame.resolution;
   OccupancyGrid g(frame.origin, solid.width() * frame.resolution,
                   solid.height() * frame.resolution, config);
-  for (int y = 0; y < solid.height(); ++y) {
-    for (int x = 0; x < solid.width(); ++x) {
-      g.update_cell({x, y}, solid.at(x, y) != 0 ? config.log_odds_max : config.log_odds_min);
+  // One pass sets the state an update_cell call per source cell, in raster
+  // order, left: every cell starts unknown, so each call was a first
+  // observation, a classification flip and a tile touch. When the extent's
+  // ceil rounds up, the grid is a column or row larger than the source, and
+  // those cells stay unknown and unlogged.
+  const int w = std::min(solid.width(), g.width());
+  const int h = std::min(solid.height(), g.height());
+  if (w == 0 || h == 0) return g;
+  const float solid_value = next_log_odds(0.0f, config.log_odds_max, config);
+  const float free_value = next_log_odds(0.0f, config.log_odds_min, config);
+  std::vector<float>& cells = g.log_odds_.mutable_data();
+  for (int y = 0; y < h; ++y) {
+    const uint8_t* src = solid.data().data() + static_cast<size_t>(y) * solid.width();
+    float* dst = cells.data() + static_cast<size_t>(y) * g.width();
+    for (int x = 0; x < w; ++x) dst[x] = src[x] != 0 ? solid_value : free_value;
+  }
+  // from_binary opens no batch of its own: touched tiles carry the
+  // constructor's stamp.
+  for (int ty = 0; ty < (h + kTileSize - 1) / kTileSize; ++ty) {
+    for (int tx = 0; tx < (w + kTileSize - 1) / kTileSize; ++tx) {
+      g.tile_versions_.mut_at(tx, ty) = g.write_version_;
     }
+  }
+  // record_flip drops the log every kChangelogCap flips, so n flips leave
+  // the last (n - 1) mod cap + 1 cells of the raster order.
+  const uint64_t n = static_cast<uint64_t>(w) * static_cast<uint64_t>(h);
+  g.known_cells_ = n;
+  g.change_version_ = n;
+  g.changelog_base_ = (n - 1) / kChangelogCap * kChangelogCap;
+  std::vector<CellIndex>& log = g.mutable_changelog();
+  log.reserve(n - g.changelog_base_);
+  for (uint64_t i = g.changelog_base_; i < n; ++i) {
+    log.push_back({static_cast<int>(i % w), static_cast<int>(i / w)});
   }
   return g;
 }

@@ -133,8 +133,12 @@ class OccupancyGrid {
     tile_versions_.unshare();
   }
 
+  /// Occupancy message: kUnknownCell where the log-odds is ±0.0f, else
+  /// lround(100 · probability). One exp per distinct log-odds value.
   msg::OccupancyGridMsg to_msg(double stamp) const;
-  /// Rebuild from a message (used when the map migrates across hosts).
+  /// Rebuild from a message, feeding each known cell's probability to
+  /// update_cell as evidence. Lossy (a byte per cell), so migration ships
+  /// serialize/deserialize_any records instead.
   static OccupancyGrid from_msg(const msg::OccupancyGridMsg& m,
                                 OccupancyGridConfig config = {});
 
@@ -165,7 +169,10 @@ class OccupancyGrid {
   using BaseLookup = std::function<const OccupancyGrid*(uint64_t write_version)>;
   static OccupancyGrid deserialize_any(WireReader& r, const BaseLookup& base_lookup);
 
-  /// Seed from ground truth (tests & known-map navigation).
+  /// Seed from ground truth (tests & known-map navigation): solid cells take
+  /// log_odds_max, free cells log_odds_min, clamped as update_cell clamps.
+  /// One pass leaves the state an update_cell call per source cell, in
+  /// raster order, would: cells, counts, changelog tail and tile stamps.
   static OccupancyGrid from_binary(const GridFrame& frame, const Grid<uint8_t>& solid,
                                    OccupancyGridConfig config = {});
 
