@@ -21,6 +21,7 @@
 
 #include "bench_util.h"
 #include "common/simd.h"
+#include "common/telemetry/trace.h"
 #include "common/thread_pool.h"
 #include "control/trajectory_rollout.h"
 #include "msg/messages.h"
@@ -351,6 +352,31 @@ void BM_ThreadPoolDispatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ThreadPoolDispatch)->Arg(1)->Arg(4);
+
+/// One traced event in the two shapes missions record most: Arg(0) a node
+/// execution span (cycles + threads, inside a trace), Arg(1) a fleet worker
+/// span on a tracer stamped with a vehicle_id. Clearing every 64k events
+/// keeps the tracer below its cap, so block growth is part of the cost.
+void BM_TracerRecord(benchmark::State& state) {
+  const bool fleet = state.range(0) == 1;
+  telemetry::Tracer tracer;
+  if (fleet) tracer.set_vehicle_id("lgv-17");
+  tracer.begin_trace();
+  const int threads = static_cast<int>(state.range(0)) + 4;
+  size_t i = 0;
+  for (auto _ : state) {
+    const double t = static_cast<double>(i) * 1e-3;
+    const uint32_t id =
+        fleet ? tracer.span("worker.scan_match", "cloud_server", "lgv-17", t, 2e-4,
+                            {{"queue_wait_s", t * 1e-3}, {"batched", "1"}})
+              : tracer.span("localization", "edge_gateway", "localization", t, 1e-3,
+                            {{"cycles", 38.0e6 + static_cast<double>(i)},
+                             {"threads", threads}});
+    benchmark::DoNotOptimize(id);
+    if (++i % 65536 == 0) tracer.clear();
+  }
+}
+BENCHMARK(BM_TracerRecord)->Arg(0)->Arg(1);
 
 // ---- wall-clock A/B harness (--wallclock-json) -----------------------------
 

@@ -56,10 +56,7 @@ void Gauge::add(double delta) {
 Histogram::Histogram(std::vector<double> bucket_bounds) : bounds_(std::move(bucket_bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  buckets_.reserve(bounds_.size() + 1);
-  for (size_t i = 0; i < bounds_.size() + 1; ++i) {
-    buckets_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
-  }
+  buckets_ = std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1);  // zeroed
   min_.store(std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
   max_.store(-std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
 }
@@ -67,7 +64,7 @@ Histogram::Histogram(std::vector<double> bucket_bounds) : bounds_(std::move(buck
 void Histogram::observe(double v) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const size_t idx = static_cast<size_t>(it - bounds_.begin());
-  buckets_[idx]->fetch_add(1, std::memory_order_relaxed);
+  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   atomic_add(sum_, v);
   atomic_min(min_, v);
@@ -80,13 +77,14 @@ double Histogram::mean() const {
 }
 
 uint64_t Histogram::overflow_count() const {
-  return buckets_.back()->load(std::memory_order_relaxed);
+  return buckets_[bounds_.size()].load(std::memory_order_relaxed);
 }
 
 std::vector<uint64_t> Histogram::bucket_counts() const {
-  std::vector<uint64_t> out;
-  out.reserve(buckets_.size());
-  for (const auto& b : buckets_) out.push_back(b->load(std::memory_order_relaxed));
+  std::vector<uint64_t> out(bounds_.size() + 1);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = buckets_[i].load(std::memory_order_relaxed);
+  }
   return out;
 }
 

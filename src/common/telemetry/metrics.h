@@ -76,7 +76,7 @@ class Histogram {
 
  private:
   std::vector<double> bounds_;  ///< ascending upper bounds
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> buckets_;  ///< bounds + overflow
+  std::unique_ptr<std::atomic<uint64_t>[]> buckets_;  ///< bounds_.size() + 1 (overflow last)
   std::atomic<uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_{0.0};

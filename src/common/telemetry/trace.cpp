@@ -94,9 +94,9 @@ void write_event_jsonl(std::ostream& os, const TraceEvent& e) {
 
 }  // namespace
 
-void Tracer::set_vehicle_id(std::string vehicle_id) {
+void Tracer::set_vehicle_id(std::string_view vehicle_id) {
   const std::scoped_lock lock(mutex_);
-  vehicle_id_ = std::move(vehicle_id);
+  vehicle_ = vehicle_id.empty() ? kNoVehicle : intern(vehicle_id);
 }
 
 TraceContext Tracer::begin_trace() {
@@ -115,67 +115,121 @@ TraceContext Tracer::current() const {
   return current_;
 }
 
-uint32_t Tracer::record(TraceEvent e) {
-  const std::scoped_lock lock(mutex_);
-  if (current_.trace_id != 0) {
-    e.trace_id = current_.trace_id;
-    e.span_id = ++next_span_id_;
-    e.parent_span_id = current_.span_id;
+uint32_t Tracer::intern(std::string_view s) {
+  const auto it = ids_.find(s);
+  if (it != ids_.end()) return it->second;
+  const auto id = static_cast<uint32_t>(strings_.size());
+  strings_.push_back(&ids_.emplace(std::string(s), id).first->first);
+  return id;
+}
+
+Tracer::Arg Tracer::encode(const TraceArg& a) {
+  Arg out;
+  out.key = intern(a.key);
+  out.kind = a.value.kind();
+  switch (out.kind) {
+    case TraceValue::Kind::kString: out.str = intern(a.value.str()); break;
+    case TraceValue::Kind::kDouble: out.f64 = a.value.f64(); break;
+    case TraceValue::Kind::kInt: out.i64 = a.value.i64(); break;
+    case TraceValue::Kind::kUint: out.u64 = a.value.u64(); break;
   }
-  if (!vehicle_id_.empty()) e.args.emplace_back("vehicle_id", vehicle_id_);
-  const uint32_t assigned = e.span_id;
-  if (flight_capacity_ > 0) {
+  return out;
+}
+
+uint32_t Tracer::reserve_flight_args(uint32_t n) {
+  // The args that must survive this push start at the oldest record that
+  // stays in the ring: slot 0 while it fills, then the one after the slot
+  // about to be overwritten.
+  uint32_t live_begin = flight_args_end_;
+  if (flight_.size() < flight_capacity_) {
+    if (!flight_.empty()) live_begin = flight_[0].first_arg;
+  } else if (flight_capacity_ > 1) {
+    live_begin = flight_[(flight_head_ + 1) % flight_capacity_].first_arg;
+  }
+  const uint32_t live = flight_args_end_ - live_begin;
+  if (live + n > flight_args_.size()) {
+    size_t size = std::max<size_t>(16, flight_args_.size());
+    while (size < live + n) size *= 2;
+    std::vector<Arg> grown(size);
+    for (uint32_t p = live_begin; p != flight_args_end_; ++p) {
+      grown[p & (size - 1)] = flight_args_[p & (flight_args_.size() - 1)];
+    }
+    flight_args_.swap(grown);
+  }
+  const uint32_t first = flight_args_end_;
+  flight_args_end_ += n;
+  return first;
+}
+
+uint32_t Tracer::record(char phase, std::string_view name, std::string_view pid,
+                        std::string_view tid, double ts_s, double dur_s,
+                        TraceArgList args) {
+  const std::scoped_lock lock(mutex_);
+  Record r{};
+  r.phase = phase;
+  r.ts_s = ts_s;
+  r.dur_s = dur_s;
+  if (current_.trace_id != 0) {
+    r.trace_id = current_.trace_id;
+    r.span_id = ++next_span_id_;
+    r.parent_span_id = current_.span_id;
+  }
+  const bool keep = records_.size() < max_events_;
+  if (!keep) {
+    ++dropped_;
+    if (dropped_counter_ != nullptr) dropped_counter_->inc();
+  }
+  const bool fly = flight_capacity_ > 0;
+  if (!keep && !fly) return r.span_id;
+
+  r.name = intern(name);
+  r.pid = intern(pid);
+  r.tid = intern(tid);
+  r.arg_count = static_cast<uint32_t>(args.size());
+  r.vehicle = vehicle_;
+  const auto main_first = static_cast<uint32_t>(args_.size());
+  const uint32_t flight_first = fly ? reserve_flight_args(r.arg_count) : 0;
+  uint32_t i = 0;
+  for (const TraceArg& a : args) {
+    const Arg enc = encode(a);
+    if (keep) args_.push_back(enc);
+    if (fly) flight_args_[(flight_first + i++) & (flight_args_.size() - 1)] = enc;
+  }
+  if (keep) {
+    r.first_arg = main_first;
+    records_.push_back(r);
+  }
+  if (fly) {
+    r.first_arg = flight_first;
     if (flight_.size() < flight_capacity_) {
-      flight_.push_back(e);
+      flight_.push_back(r);
     } else {
-      flight_[flight_head_] = e;
+      flight_[flight_head_] = r;
       ++flight_overwritten_;
     }
     flight_head_ = (flight_head_ + 1) % flight_capacity_;
   }
-  if (events_.size() >= max_events_) {
-    ++dropped_;
-    if (dropped_counter_ != nullptr) dropped_counter_->inc();
-    return assigned;
-  }
-  events_.push_back(std::move(e));
-  return assigned;
+  return r.span_id;
 }
 
-uint32_t Tracer::span(std::string name, std::string pid, std::string tid,
-                      double start_s, double dur_s, TraceArgs args) {
-  TraceEvent e;
-  e.name = std::move(name);
-  e.phase = 'X';
-  e.ts_s = start_s;
-  e.dur_s = dur_s;
-  e.pid = std::move(pid);
-  e.tid = std::move(tid);
-  e.args = std::move(args);
-  return record(std::move(e));
+uint32_t Tracer::span(std::string_view name, std::string_view pid, std::string_view tid,
+                      double start_s, double dur_s, TraceArgList args) {
+  return record('X', name, pid, tid, start_s, dur_s, args);
 }
 
-uint32_t Tracer::instant(std::string name, std::string pid, std::string tid,
-                         double t_s, TraceArgs args) {
-  TraceEvent e;
-  e.name = std::move(name);
-  e.phase = 'i';
-  e.ts_s = t_s;
-  e.pid = std::move(pid);
-  e.tid = std::move(tid);
-  e.args = std::move(args);
-  return record(std::move(e));
+uint32_t Tracer::instant(std::string_view name, std::string_view pid,
+                         std::string_view tid, double t_s, TraceArgList args) {
+  return record('i', name, pid, tid, t_s, 0.0, args);
 }
 
-uint32_t Tracer::instant_now(std::string name, std::string pid, std::string tid,
-                             TraceArgs args) {
-  return instant(std::move(name), std::move(pid), std::move(tid), now(),
-                 std::move(args));
+uint32_t Tracer::instant_now(std::string_view name, std::string_view pid,
+                             std::string_view tid, TraceArgList args) {
+  return instant(name, pid, tid, now(), args);
 }
 
 size_t Tracer::size() const {
   const std::scoped_lock lock(mutex_);
-  return events_.size();
+  return records_.size();
 }
 
 uint64_t Tracer::dropped() const {
@@ -185,17 +239,64 @@ uint64_t Tracer::dropped() const {
 
 void Tracer::clear() {
   const std::scoped_lock lock(mutex_);
-  events_.clear();
+  records_.clear();
+  args_.clear();
   dropped_ = 0;
   flight_.clear();
   flight_head_ = 0;
   flight_overwritten_ = 0;
+  flight_args_end_ = 0;
   current_ = TraceContext{};
+}
+
+template <typename ArgAt>
+TraceEvent Tracer::materialize(const Record& r, ArgAt arg_at) const {
+  TraceEvent e;
+  e.name = *strings_[r.name];
+  e.phase = r.phase;
+  e.ts_s = r.ts_s;
+  e.dur_s = r.dur_s;
+  e.pid = *strings_[r.pid];
+  e.tid = *strings_[r.tid];
+  e.trace_id = r.trace_id;
+  e.span_id = r.span_id;
+  e.parent_span_id = r.parent_span_id;
+  e.args.reserve(r.arg_count + (r.vehicle != kNoVehicle ? 1 : 0));
+  for (uint32_t j = 0; j < r.arg_count; ++j) {
+    const Arg& a = arg_at(r.first_arg + j);
+    // The text std::to_string gave the call site's value.
+    std::string value;
+    switch (a.kind) {
+      case TraceValue::Kind::kString: value = *strings_[a.str]; break;
+      case TraceValue::Kind::kDouble: value = std::to_string(a.f64); break;
+      case TraceValue::Kind::kInt: value = std::to_string(a.i64); break;
+      case TraceValue::Kind::kUint: value = std::to_string(a.u64); break;
+    }
+    e.args.emplace_back(*strings_[a.key], std::move(value));
+  }
+  if (r.vehicle != kNoVehicle) e.args.emplace_back("vehicle_id", *strings_[r.vehicle]);
+  return e;
+}
+
+TraceEvent Tracer::event_at(size_t i) const {
+  return materialize(records_[i], [this](uint32_t j) -> const Arg& { return args_[j]; });
+}
+
+TraceEvent Tracer::flight_event_at(size_t i) const {
+  // Once the ring is full the oldest entry sits at the next overwrite slot.
+  const size_t slot =
+      flight_.size() < flight_capacity_ ? i : (flight_head_ + i) % flight_capacity_;
+  return materialize(flight_[slot], [this](uint32_t p) -> const Arg& {
+    return flight_args_[p & (flight_args_.size() - 1)];
+  });
 }
 
 std::vector<TraceEvent> Tracer::events() const {
   const std::scoped_lock lock(mutex_);
-  return events_;
+  std::vector<TraceEvent> out;
+  out.reserve(records_.size());
+  for (size_t i = 0; i < records_.size(); ++i) out.push_back(event_at(i));
+  return out;
 }
 
 uint64_t Tracer::flight_overwritten() const {
@@ -207,27 +308,19 @@ std::vector<TraceEvent> Tracer::flight_events() const {
   const std::scoped_lock lock(mutex_);
   std::vector<TraceEvent> out;
   out.reserve(flight_.size());
-  if (flight_.size() < flight_capacity_) {
-    out = flight_;
-  } else {
-    // Full ring: oldest entry sits at the next overwrite position.
-    out.insert(out.end(), flight_.begin() + static_cast<long>(flight_head_),
-               flight_.end());
-    out.insert(out.end(), flight_.begin(),
-               flight_.begin() + static_cast<long>(flight_head_));
-  }
+  for (size_t i = 0; i < flight_.size(); ++i) out.push_back(flight_event_at(i));
   return out;
 }
 
 void Tracer::write_chrome_json(std::ostream& os) const {
-  const std::vector<TraceEvent> events = this->events();
+  const std::scoped_lock lock(mutex_);
   LaneIds lanes;
   os << "{\"traceEvents\":[\n";
   bool first = true;
-  for (const TraceEvent& e : events) {
+  for (size_t i = 0; i < records_.size(); ++i) {
     if (!first) os << ",\n";
     first = false;
-    write_event_chrome(os, e, lanes);
+    write_event_chrome(os, event_at(i), lanes);
   }
   // Metadata events name the numeric lanes after their host / node strings.
   for (const auto& [name, id] : lanes.pids) {
@@ -247,17 +340,17 @@ void Tracer::write_chrome_json(std::ostream& os) const {
 }
 
 void Tracer::write_jsonl(std::ostream& os) const {
-  const std::vector<TraceEvent> events = this->events();
-  for (const TraceEvent& e : events) {
-    write_event_jsonl(os, e);
+  const std::scoped_lock lock(mutex_);
+  for (size_t i = 0; i < records_.size(); ++i) {
+    write_event_jsonl(os, event_at(i));
     os << "\n";
   }
 }
 
 void Tracer::write_flight_jsonl(std::ostream& os) const {
-  const std::vector<TraceEvent> events = this->flight_events();
-  for (const TraceEvent& e : events) {
-    write_event_jsonl(os, e);
+  const std::scoped_lock lock(mutex_);
+  for (size_t i = 0; i < flight_.size(); ++i) {
+    write_event_jsonl(os, flight_event_at(i));
     os << "\n";
   }
 }

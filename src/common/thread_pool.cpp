@@ -114,11 +114,21 @@ void ThreadPool::run_region(const Region& region) {
     if (queue_depth_ != nullptr) queue_depth_->set(static_cast<double>(seats_));
   }
   for (size_t t = 0; t < tasks; ++t) task_ready_.notify_one();
-  // Both counters are pool members changed under mutex_: once they read zero
-  // every task has left fn and will not touch the region again.
+  // The caller, which holds a CPU already, claims units like a worker. When
+  // none is left it withdraws the seats no worker has taken, so it waits only
+  // for the tasks already running: a descheduled worker that wakes late finds
+  // no seat and nothing to do.
+  size_t u;
+  while ((u = next_unit_.fetch_add(1, std::memory_order_relaxed)) < region.units) {
+    const ChunkRange r = unit_range(region.count, region.units, region.grain, u);
+    (*region.fn)(r.begin, r.end);
+  }
+  // running_ is a pool member changed under mutex_: once it reads zero with
+  // no seat left, every task has left fn and will not touch the region again.
   std::unique_lock lock(mutex_);
-  while (!region_done_.wait_for(lock, kWaitSlice,
-                                [this] { return seats_ == 0 && running_ == 0; })) {
+  seats_ = 0;
+  if (queue_depth_ != nullptr) queue_depth_->set(0.0);
+  while (!region_done_.wait_for(lock, kWaitSlice, [this] { return running_ == 0; })) {
   }
 }
 

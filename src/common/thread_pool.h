@@ -3,11 +3,12 @@
 // mirrors the paper's design: a main thread partitions M work items into N
 // chunks and blocks until all chunks complete.
 //
-// Every call is one *region*: the caller posts it, workers run its tasks and
-// the caller blocks until the last task has finished. The pool owns all of a
-// region's completion state, so no worker touches the caller's stack once
-// the caller can return. Regions posted from different threads run one at a
-// time; a region's fn must not post a region on the same pool.
+// Every call is one *region*: the caller posts it, then runs units of it
+// beside the workers' tasks until none is left, and returns once the last
+// task has finished. The pool owns all of a region's completion state, so no
+// worker touches the caller's stack once the caller can return. Regions
+// posted from different threads run one at a time; a region's fn must not
+// post a region on the same pool.
 //
 // Concurrency hygiene follows the C++ Core Guidelines: RAII locks only
 // (CP.20), condition waits always have a predicate (CP.42), threads are
@@ -53,7 +54,8 @@ class ThreadPool {
   /// `pool_tasks_total`, `pool_queue_depth`, `pool_task_wait_us` /
   /// `pool_task_run_us` histograms and `pool_busy_us_total`, all labeled
   /// {pool=`pool_name`}. A task is one worker's share of a region; its wait
-  /// runs from the region's post to the task's start. Times are host
+  /// runs from the region's post to the task's start. Units the caller runs
+  /// itself are not tasks and appear in none of these metrics. Times are host
   /// wall-clock — the pool runs real threads; virtual time never advances
   /// inside a task. Worker utilization over an interval is
   /// busy_us / (interval · num_threads).
@@ -82,9 +84,9 @@ class ThreadPool {
   /// work. The chunk boundaries depend only on `count` and `chunks`.
   void parallel_chunks(size_t count, size_t chunks, const RangeFn& fn);
 
-  /// Dynamic-scheduling variant: min(workers, ceil(count/grain)) tasks each
-  /// grab the next `grain`-sized range of [0, count) off a shared counter
-  /// until none remain, then the caller is released. Unlike the static
+  /// Dynamic-scheduling variant: min(workers, ceil(count/grain)) tasks and
+  /// the caller each grab the next `grain`-sized range of [0, count) off a
+  /// shared counter until none remain. Unlike the static
   /// partition above, a worker that drew cheap items (e.g. trajectory
   /// candidates that early-exit on collision) immediately takes more work
   /// instead of idling, so the region finishes when the *work* runs out, not
@@ -106,8 +108,9 @@ class ThreadPool {
     std::chrono::steady_clock::time_point posted;
   };
 
-  /// Run every unit of `region` on min(workers, units) tasks and block until
-  /// all of them finished. With one task the caller runs the units itself.
+  /// Run every unit of `region` on min(workers, units) tasks plus the caller,
+  /// and return once all of them finished. With one task the caller runs the
+  /// units alone.
   void run_region(const Region& region);
   void worker_loop();
 
@@ -117,7 +120,8 @@ class ThreadPool {
   std::condition_variable task_ready_;
   std::condition_variable region_done_;
   Region region_;           ///< the posted region
-  size_t seats_ = 0;        ///< tasks of region_ no worker has started yet
+  size_t seats_ = 0;        ///< tasks of region_ no worker has started yet;
+                            ///< the caller withdraws them once it runs out of units
   size_t running_ = 0;      ///< tasks of region_ started and not finished
   bool stopping_ = false;
   std::atomic<size_t> next_unit_{0};  ///< next unit of region_ to claim

@@ -216,7 +216,7 @@ void MissionRunner::on_scan_tick(double now) {
   if (telemetry::Tracer* tr = tracer()) {
     tr->begin_trace();
     const uint32_t root = tr->instant_now(
-        "scan.tick", "lgv", "lidar_driver", {{"seq", std::to_string(scan_seq_)}});
+        "scan.tick", "lgv", "lidar_driver", {{"seq", scan_seq_}});
     if (root != 0) tr->set_current({tr->current().trace_id, root});
   }
 
@@ -477,12 +477,15 @@ void MissionRunner::run_adjustment(double now) {
     // it — the trace answers "why did it migrate at t=412s?" directly.
     t->tracer().instant_now(
         "alg2.decision", "decisions", "algorithm2",
-        {{"bandwidth_hz", std::to_string(obs.bandwidth_hz)},
-         {"direction", std::to_string(obs.signal_direction)},
+        {{"bandwidth_hz", obs.bandwidth_hz},
+         {"direction", obs.signal_direction},
          {"wanted", wanted == VdpPlacement::kRemote ? "remote" : "local"},
          {"current",
           runtime_.vdp_placement() == VdpPlacement::kRemote ? "remote" : "local"}});
-    t->metrics().counter("alg_decisions_total", {{"algorithm", "2"}}).inc();
+    if (alg2_decisions_ == nullptr) {
+      alg2_decisions_ = &t->metrics().counter("alg_decisions_total", {{"algorithm", "2"}});
+    }
+    alg2_decisions_->inc();
   }
 
   // ---- Algorithm 1 (MCT goal): confirm remote placement still pays off.
@@ -545,7 +548,7 @@ void MissionRunner::run_adjustment(double now) {
       runtime_.set_vdp_placement(VdpPlacement::kLocal);
       if (telemetry::Telemetry* t = runtime_.telemetry()) {
         t->tracer().instant_now("migration.abort", "network", "switcher",
-                                {{"attempts", std::to_string(mig.attempts)}});
+                                {{"attempts", mig.attempts}});
         // Post-mortem: the last N events leading up to the torn transfer.
         t->dump_flight("migration_abort");
       }

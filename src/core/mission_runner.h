@@ -286,6 +286,8 @@ class MissionRunner {
   double last_progress_time_ = 0.0;
   double best_goal_distance_ = 1e18;
   double frozen_until_ = 0.0;  ///< state-migration freeze (Algorithm 2)
+  /// alg_decisions_total{algorithm=2}, registered at the first evaluation.
+  telemetry::Counter* alg2_decisions_ = nullptr;
   bool explored_ = false;
   bool done_ = false;  ///< set by step() when the mission ends
   /// Frontier goals that made no progress for a while — treated as

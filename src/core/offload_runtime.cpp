@@ -204,16 +204,16 @@ OffloadDecision OffloadRuntime::apply_initial_placement() {
   netctl_.force(vdp_placement_);
   if (telemetry_ != nullptr) {
     // Algorithm 1 marker: the Eq. 1–2 inputs and the resulting node map.
-    telemetry::TraceArgs args = {
+    std::vector<telemetry::TraceArg> args = {
         {"goal", plan_.goal == Goal::kCompletionTime ? "completion_time" : "energy"},
-        {"tl_s", std::to_string(tl)},
-        {"tc_s", std::to_string(tc)},
+        {"tl_s", tl},
+        {"tc_s", tc},
         {"vdp", decision.vdp_offloaded ? "remote" : "local"}};
     for (const auto& [id, host] : decision.placement) {
-      args.emplace_back(node_name(id), platform::host_name(host));
+      args.push_back({node_name(id), platform::host_name(host)});
     }
     telemetry_->tracer().instant_now("alg1.initial_placement", "decisions",
-                                     "algorithm1", std::move(args));
+                                     "algorithm1", args);
     telemetry_->metrics().counter("alg_decisions_total", {{"algorithm", "1"}}).inc();
   }
   return decision;
@@ -314,7 +314,7 @@ PlacementResult OffloadRuntime::reoptimize_placement(const char* trigger) {
     telemetry_->tracer().instant_now(
         "placement.retrigger", "decisions", "placement",
         {{"trigger", trigger},
-         {"cost_s", std::to_string(r.cost_s)},
+         {"cost_s", r.cost_s},
          {"improved", r.improved ? "true" : "false"}});
   }
   return r;
@@ -382,7 +382,7 @@ void OffloadRuntime::complete_failover(int target, double now) {
         "pool.failover", "decisions", "failover",
         {{"to", target == 1 ? "standby" : "primary"},
          {"host", platform::host_name(remote_host_)},
-         {"at", std::to_string(now)}});
+         {"at", now}});
     // First failover of the run snapshots the flight recorder: the events
     // leading up to the primary loss are the post-mortem.
     telemetry_->dump_flight("pool_failover");
@@ -421,7 +421,7 @@ bool OffloadRuntime::ensure_worker_session(double now) {
               .inc();
           telemetry_->tracer().instant_now(
               "pool.failover_abort", "decisions", "failover",
-              {{"attempts", std::to_string(mig.attempts)}});
+              {{"attempts", mig.attempts}});
         }
         attempted_pool_ = acq.pool;
         last_refusal_cause_ = "migrating";
@@ -481,19 +481,28 @@ double OffloadRuntime::finish(NodeId id, platform::ExecutionContext& ctx) {
     telemetry::Tracer& tracer = telemetry_->tracer();
     const uint32_t span_id = tracer.span(
         node, host_lane, node, clock_.now(), t,
-        {{"cycles", std::to_string(ctx.profile().total_cycles())},
-         {"threads", std::to_string(ctx.threads())}});
+        {{"cycles", ctx.profile().total_cycles()}, {"threads", ctx.threads()}});
     // Downstream work (the deferred result publish and whatever it causes)
     // parents under this node's execution span.
     if (span_id != 0) {
       tracer.set_current(telemetry::TraceContext{tracer.current().trace_id, span_id});
     }
-    const telemetry::Labels labels = {{"node", node}, {"host", host_lane}};
-    auto& m = telemetry_->metrics();
-    m.counter("node_invocations_total", labels).inc();
-    m.histogram("node_exec_seconds", labels).observe(t);
+    record_node_execution(id, host, t);
   }
   return t;
+}
+
+void OffloadRuntime::record_node_execution(NodeId id, platform::Host host, double t) {
+  NodeMetrics& nm = node_metrics_[static_cast<size_t>(id)][static_cast<size_t>(host)];
+  if (nm.invocations == nullptr) {
+    const telemetry::Labels labels = {{"node", node_name(id)},
+                                      {"host", platform::host_name(host)}};
+    auto& m = telemetry_->metrics();
+    nm.invocations = &m.counter("node_invocations_total", labels);
+    nm.exec_seconds = &m.histogram("node_exec_seconds", labels);
+  }
+  nm.invocations->inc();
+  nm.exec_seconds->observe(t);
 }
 
 OffloadRuntime::ExecutionOutcome OffloadRuntime::busy_fallback(
@@ -522,10 +531,7 @@ OffloadRuntime::ExecutionOutcome OffloadRuntime::busy_fallback(
       telemetry_->tracer().set_current(
           telemetry::TraceContext{telemetry_->tracer().current().trace_id, fb_span});
     }
-    const telemetry::Labels labels = {
-        {"node", node}, {"host", platform::host_name(platform::Host::kLgv)}};
-    m.counter("node_invocations_total", labels).inc();
-    m.histogram("node_exec_seconds", labels).observe(t_local);
+    record_node_execution(id, platform::Host::kLgv, t_local);
   }
   // Unlike a lease expiry, the placement is left alone: "busy" is a
   // retryable refusal, so the next execution tries the worker again —
@@ -606,7 +612,10 @@ OffloadRuntime::ExecutionOutcome OffloadRuntime::finish_guarded(
   const double lease =
       controller_.lease_timeout(tc, rtt, /*cold_start=*/!profiled_tc.has_value());
   if (telemetry_ != nullptr) {
-    telemetry_->metrics().counter("lease_grants_total").inc();
+    if (lease_grants_ == nullptr) {
+      lease_grants_ = &telemetry_->metrics().counter("lease_grants_total");
+    }
+    lease_grants_->inc();
   }
 
   if (!crashed && !pool_lost && completion - now <= lease) {
@@ -653,14 +662,11 @@ OffloadRuntime::ExecutionOutcome OffloadRuntime::finish_guarded(
     telemetry_->tracer().instant_now(
         "alg2.fallback", "decisions", "algorithm2",
         {{"node", node},
-         {"lease_s", std::to_string(lease)},
+         {"lease_s", lease},
          {"cause", crashed      ? "worker_crash"
                    : pool_lost ? "pool_crash"
                                : "lease_timeout"}});
-    const telemetry::Labels labels = {
-        {"node", node}, {"host", platform::host_name(platform::Host::kLgv)}};
-    m.counter("node_invocations_total", labels).inc();
-    m.histogram("node_exec_seconds", labels).observe(t_local);
+    record_node_execution(id, platform::Host::kLgv, t_local);
   }
 
   // Pull the whole VDP home and pin Algorithm 2 local; its normal

@@ -6,6 +6,7 @@
 // also use it directly.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -271,6 +272,9 @@ class OffloadRuntime {
   /// Apply an engine assignment (dag index i < |all_nodes()| ↔ all_nodes()[i])
   /// through place(). Returns whether any T3 node ended up remote.
   bool apply_engine_assignment(const uint8_t* assignment, size_t n);
+  /// node_invocations_total / node_exec_seconds{node,host} for one execution
+  /// of `t` seconds, through handles registered on first use.
+  void record_node_execution(NodeId id, platform::Host host, double t);
 
   DeploymentPlan plan_;
   /// Declared before remote_pool_ so the pool's destructor (which joins the
@@ -323,6 +327,17 @@ class OffloadRuntime {
   bool lease_fallback_ = true;
   uint64_t fallback_count_ = 0;
   uint64_t busy_fallback_count_ = 0;
+
+  // Per-execution metric handles, registered on first use so the registry
+  // holds the same series an uncached lookup would have created.
+  struct NodeMetrics {
+    telemetry::Counter* invocations = nullptr;
+    telemetry::Histogram* exec_seconds = nullptr;
+  };
+  static constexpr size_t kNodeSlots = static_cast<size_t>(NodeId::kVelocityMux) + 1;
+  static constexpr size_t kHostSlots = static_cast<size_t>(platform::Host::kCloudServer) + 1;
+  std::array<std::array<NodeMetrics, kHostSlots>, kNodeSlots> node_metrics_{};
+  telemetry::Counter* lease_grants_ = nullptr;
 };
 
 }  // namespace lgv::core

@@ -268,9 +268,9 @@ void PlacementEngine::record_solve(const PlacementResult& r, const char* mode) {
         "placement.solve", "lgv", "placement", telemetry_->now(),
         r.modeled_solve_s,
         {{"mode", mode},
-         {"plans", std::to_string(r.plans)},
-         {"cost_s", std::to_string(r.cost_s)},
-         {"improvement", std::to_string(improvement)}});
+         {"plans", r.plans},
+         {"cost_s", r.cost_s},
+         {"improvement", improvement}});
   }
 }
 

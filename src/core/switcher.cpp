@@ -284,7 +284,7 @@ void Switcher::deliver(const net::Packet& packet) {
     const double air_start = std::max(packet.send_time, packet.air_time);
     const uint32_t wire_id =
         tracer->span("net.wire", "network", lane, air_start, now - air_start,
-                     {{"bytes", std::to_string(b.size())}});
+                     {{"bytes", b.size()}});
     if (wire_id != 0) {
       tracer->set_current(telemetry::TraceContext{frame_trace_id(b), wire_id});
     }
@@ -429,13 +429,13 @@ MigrationResult Switcher::migrate_state(double bytes, bool uplink, const char* m
     // The migration freeze window as a span on the network lane.
     telemetry_->tracer().span(
         "switcher.migrate", "network", "switcher", now, t - now,
-        {{"bytes", std::to_string(bytes)},
+        {{"bytes", bytes},
          {"mode", mode},
          {"dir", uplink ? "uplink" : "downlink"},
          {"committed", result.committed ? "true" : "false"},
-         {"chunks", std::to_string(result.chunks)},
-         {"chunk_retransmits", std::to_string(result.chunk_retransmits)},
-         {"attempts", std::to_string(result.attempts)}});
+         {"chunks", result.chunks},
+         {"chunk_retransmits", result.chunk_retransmits},
+         {"attempts", result.attempts}});
   }
   return result;
 }

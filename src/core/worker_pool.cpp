@@ -21,6 +21,18 @@ std::vector<double> batch_bounds() {
 // this so every grain's cycles belong to exactly one request (one writer per
 // grain slot — the same determinism trick parallel_kernel_blocks uses).
 constexpr size_t kBatchGrain = 8;
+
+/// "worker." + kernel_kind_name(kind): the name of a request's trace span.
+const char* worker_span_name(KernelKind kind) {
+  switch (kind) {
+    case KernelKind::kScanMatch:
+      return "worker.scan_match";
+    case KernelKind::kScoreTrajectory:
+      return "worker.score_trajectory";
+    default:
+      return "worker.generic";
+  }
+}
 }  // namespace
 
 const char* kernel_kind_name(KernelKind kind) {
@@ -363,12 +375,12 @@ void WorkerPool::schedule(double now) {
     if (telemetry_ != nullptr && r.service_s > 0.0) {
       // pid = the remote host lane so the critical-path analyzer buckets
       // pool time as remote compute.
+      const auto session = sessions_.find(r.session);
       telemetry_->tracer().span(
-          std::string("worker.") + kernel_kind_name(r.kind), config_.host_label,
-          sessions_.count(r.session) ? sessions_[r.session].label : "evicted", start,
-          r.service_s,
-          {{"queue_wait_s", std::to_string(v.queue_wait)},
-           {"batched", r.batched ? "1" : "0"}});
+          worker_span_name(r.kind), config_.host_label,
+          session != sessions_.end() ? std::string_view(session->second.label) : "evicted",
+          start, r.service_s,
+          {{"queue_wait_s", v.queue_wait}, {"batched", r.batched ? "1" : "0"}});
     }
   }
   pending_.clear();
@@ -445,7 +457,7 @@ void WorkerPool::begin_drain(double now) {
   if (telemetry_ != nullptr) {
     telemetry_->metrics().counter("pool_drains_total").inc();
     telemetry_->tracer().instant_now("pool.drain", "decisions", "worker_pool",
-                                     {{"sessions", std::to_string(sessions_.size())}});
+                                     {{"sessions", sessions_.size()}});
     // Post-mortem context for the rolling restart: what the fleet was doing
     // when the operator pulled this replica.
     telemetry_->dump_flight("pool_drain");

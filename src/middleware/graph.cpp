@@ -93,7 +93,7 @@ void Graph::dispatch(detail::TopicRec& rec, const NodeName& publisher,
     rec.telemetry.message_bytes->observe(static_cast<double>(ensure_bytes().size()));
     t->tracer().instant_now("mw.publish", platform::host_name(src), rec.name,
                             {{"publisher", publisher},
-                             {"bytes", std::to_string(bytes.size())}});
+                             {"bytes", bytes.size()}});
   }
   for (auto& sub : rec.subs) {
     const Host dst = host_of(sub->subscriber);

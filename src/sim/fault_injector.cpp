@@ -181,7 +181,7 @@ void FaultInjector::update(double now) {
       const char* kind = fault_kind_name(e.kind);
       telemetry_->tracer().span(std::string("fault.") + kind, "faults", kind,
                                 e.start, e.duration,
-                                {{"magnitude", std::to_string(e.magnitude)}});
+                                {{"magnitude", e.magnitude}});
       telemetry_->metrics().counter("fault_injected_total", {{"kind", kind}}).inc();
     }
   }
