@@ -75,8 +75,6 @@ struct Vehicle {
   core::PoolFailoverClient client;
   double progress = 0.0;
   double done_at = -1.0;
-  int mig_target = -1;
-  double mig_ready = -1.0;
   bool ever_standby = false;
   double first_retry = -1.0;  ///< retry_at of the first post-crash backoff
 
@@ -101,31 +99,22 @@ void run_fleet(std::vector<Vehicle>& fleet, core::WorkerPool& primary,
       bool remote = false;
       const uint32_t streak_before = v.client.busy_streak();
       const core::PoolFailoverClient::Acquire acq = v.client.acquire(now);
-      if (acq.pool != nullptr) {
-        bool committed = acq.pool_index == v.client.committed_index();
+      if (acq.ship_snapshot) {
+        // Crash-consistent re-admission: remote execution on the new pool
+        // waits for the modeled snapshot transfer to land and commit.
+        v.client.snapshot_shipped(now + kSnapshotS);
+      } else if (acq.pool != nullptr) {
         if (acq.needs_migration) {
-          // Crash-consistent re-admission: remote execution on the new pool
-          // waits for the modeled snapshot transfer to land and commit.
-          if (v.mig_target != acq.pool_index) {
-            v.mig_target = acq.pool_index;
-            v.mig_ready = now + kSnapshotS;
-          }
-          if (now >= v.mig_ready) {
-            v.client.migration_committed(acq.pool_index);
-            if (acq.pool_index == 1) v.ever_standby = true;
-            v.mig_target = -1;
-            committed = true;
-          }
+          v.client.migration_committed(acq.pool_index);
+          if (acq.pool_index == 1) v.ever_standby = true;
         }
-        if (committed) {
-          const core::WorkerVerdict verdict = acq.pool->execute(
-              acq.session, core::KernelKind::kGeneric, now, kServiceS, 1);
-          if (verdict.busy) {
-            v.client.on_busy(now);
-          } else {
-            v.client.on_served();
-            remote = true;
-          }
+        const core::WorkerVerdict verdict = acq.pool->execute(
+            acq.session, core::KernelKind::kGeneric, now, kServiceS, 1);
+        if (verdict.busy) {
+          v.client.on_busy(now);
+        } else {
+          v.client.on_served();
+          remote = true;
         }
       }
       if (streak_before == 0 && v.client.busy_streak() > 0 && now >= kCrashAt &&

@@ -11,6 +11,11 @@ namespace calib = platform::calib;
 using platform::Host;
 
 namespace {
+constexpr double kTick = 0.02;           ///< simulation step (s)
+constexpr double kGoalTolerance = 0.35;  ///< goal reached within this (m)
+constexpr double kReplanPeriod = 2.0;    ///< global re-plan / exploration cadence (s)
+constexpr double kAdjustPeriod = 1.0;    ///< Algorithm 1/2 evaluation cadence (s)
+constexpr double kTracePeriod = 0.5;     ///< sampling of the report traces (s)
 // Freshness window of path-tracking commands at the mux: run_adjustment sets
 // it to 1.5 × the VDP makespan, clamped to [kMinMuxTimeout, kMaxMuxTimeout].
 constexpr double kMinMuxTimeout = 0.8;
@@ -29,8 +34,7 @@ MissionRunner::MissionRunner(sim::Scenario scenario, DeploymentPlan plan,
                                // Jitter stream off the effective seed: fleet
                                // vehicles already derive distinct seeds, so
                                // no two share a retry schedule.
-                               .backoff_seed = config.effective_seed() ^ 0xba5eba11,
-                               .failover = config.failover}),
+                               .backoff_seed = config.effective_seed() ^ 0xba5eba11}),
       fault_injector_(config.faults),
       // Subsystem seeds derive from the *effective* seed: in a fleet each
       // vehicle's index mixes into the fleet seed via splitmix64, so two
@@ -378,7 +382,7 @@ void MissionRunner::run_tracking(double now) {
 
 void MissionRunner::run_planning(double now, bool force) {
   if (!goal_.has_value() || now < pp_busy_until_) return;
-  if (!force && now - last_replan_ < config_.replan_period) return;
+  if (!force && now - last_replan_ < kReplanPeriod) return;
   last_replan_ = now;
 
   platform::ExecutionContext ctx = runtime_.make_context(NodeId::kPathPlanning);
@@ -575,7 +579,7 @@ double MissionRunner::serialized_state_bytes(double now, bool* used_delta) {
 void MissionRunner::integrate_energy(double now, double prev_speed) {
   (void)now;
   const double v = std::abs(robot_.velocity().linear);
-  const double a = (v - prev_speed) / config_.tick;
+  const double a = (v - prev_speed) / kTick;
   sim::PowerDraw draw;
   const auto& pm = runtime_.power();
   draw.sensor = pm.sensor_power();
@@ -583,8 +587,8 @@ void MissionRunner::integrate_energy(double now, double prev_speed) {
   draw.motor = pm.motor_power(v, a);
   draw.computer = pm.config().computer_idle_w;  // Eq. 1c dynamic part is
                                                 // charged per execution
-  runtime_.energy().accumulate(draw, config_.tick);
-  runtime_.charge_cloud_time(config_.tick);
+  runtime_.energy().accumulate(draw, kTick);
+  runtime_.charge_cloud_time(kTick);
 
   // Drain the battery by everything consumed since the last tick (including
   // per-execution Eq. 1c and per-message Eq. 1b charges).
@@ -630,7 +634,7 @@ bool MissionRunner::step() {
     pump(now);
     run_localization(now);
     run_costmap(now);
-    if (slam_.has_value() && now - last_replan_ >= config_.replan_period) {
+    if (slam_.has_value() && now - last_replan_ >= kReplanPeriod) {
       run_exploration(now);
     }
     run_planning(now, /*force=*/path_.poses.empty());
@@ -638,7 +642,7 @@ bool MissionRunner::step() {
     pump(now);
 
     // ---- runtime adjustment (Algorithms 1 & 2)
-    if (now - last_adjust_ >= config_.adjust_period) {
+    if (now - last_adjust_ >= kAdjustPeriod) {
       last_adjust_ = now;
       run_adjustment(now);
     }
@@ -672,7 +676,7 @@ bool MissionRunner::step() {
     const Velocity2D cmd = mux_.select(now, dummy);
     robot_.set_command(cmd);
     const double prev_speed = std::abs(robot_.velocity().linear);
-    robot_.step(scenario_.world, config_.tick);
+    robot_.step(scenario_.world, kTick);
     runtime_.channel().set_robot_position(robot_.pose().position());
     integrate_energy(now, prev_speed);
 
@@ -693,11 +697,11 @@ bool MissionRunner::step() {
     }
 
     if (std::abs(robot_.velocity().linear) < 0.02) {
-      report_.standby_time += config_.tick;
+      report_.standby_time += kTick;
     }
 
     // ---- traces
-    if (now - last_trace_ >= config_.trace_period) {
+    if (now - last_trace_ >= kTracePeriod) {
       last_trace_ = now;
       const double cap = current_velocity_cap();
       report_.velocity_trace.push_back(
@@ -723,7 +727,7 @@ bool MissionRunner::step() {
         best_goal_distance_ = d;
         last_progress_time_ = now;
       }
-      if (d < config_.goal_tolerance) {
+      if (d < kGoalTolerance) {
         report_.success = true;
         done_ = true;
       }
@@ -741,7 +745,7 @@ bool MissionRunner::step() {
       done_ = true;
     }
   }
-  clock.advance(config_.tick);
+  clock.advance(kTick);
   return !done_ && clock.now() < config_.timeout;
 }
 

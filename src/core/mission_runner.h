@@ -42,13 +42,8 @@ namespace lgv::core {
 enum class LocalizationBackend { kLaser, kVision };
 
 struct MissionConfig {
-  double tick = 0.02;          ///< simulation step (s)
   double scan_period = 0.2;    ///< 5 Hz LDS
   double timeout = 1500.0;     ///< give up after this much virtual time
-  double goal_tolerance = 0.35;
-  double replan_period = 2.0;
-  double adjust_period = 1.0;  ///< Algorithm 1/2 evaluation cadence
-  double trace_period = 0.5;   ///< sampling of the report traces
   int rollout_samples = 2000;  ///< Fig. 10's default operating point
   int slam_particles = 30;
   double explore_done_grace = 8.0;  ///< min mission time before "explored"
@@ -68,8 +63,6 @@ struct MissionConfig {
   /// crash-consistent state snapshot and re-admits here. Must outlive the
   /// runner; nullptr = no failover target.
   WorkerPool* standby_pool = nullptr;
-  /// Busy-retry backoff and circuit-breaker policy for the pool attachment.
-  FailoverConfig failover;
   /// The seed the vehicle's subsystems actually derive from.
   uint64_t effective_seed() const {
     return vehicle_index < 0

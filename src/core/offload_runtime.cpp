@@ -63,17 +63,14 @@ OffloadRuntime::OffloadRuntime(DeploymentPlan plan, Point2D wap_position,
       netctl_({}, plan_.offload ? VdpPlacement::kRemote : VdpPlacement::kLocal),
       planner_(plan_.goal, plan_.remote_host),
       vdp_placement_(plan_.offload ? VdpPlacement::kRemote : VdpPlacement::kLocal) {
-  worker_pool_ = fleet.pool;
-  vehicle_index_ = fleet.vehicle_index;
-  standby_pool_ = fleet.standby;
   remote_host_ = plan_.remote_host;
-  if (vehicle_index_ >= 0) {
+  if (fleet.vehicle_index >= 0) {
     // Session identity on the wire: every frame this vehicle's Switcher sends
     // carries its id, so the shared worker sequences each vehicle's stream
     // independently (no cross-vehicle duplicate rejects).
-    switcher_.set_session_id(static_cast<uint16_t>(vehicle_index_ + 1));
+    switcher_.set_session_id(static_cast<uint16_t>(fleet.vehicle_index + 1));
     if (telemetry_config.vehicle_id.empty()) {
-      telemetry_config.vehicle_id = "lgv-" + std::to_string(vehicle_index_);
+      telemetry_config.vehicle_id = "lgv-" + std::to_string(fleet.vehicle_index);
     }
   }
   cost_models_.emplace(platform::Host::kLgv,
@@ -95,7 +92,7 @@ OffloadRuntime::OffloadRuntime(DeploymentPlan plan, Point2D wap_position,
   graph_.register_node("worker", plan_.remote_host);
   graph_.set_remote_transport(&switcher_);
 
-  if (plan_.offload && plan_.remote_threads > 1 && worker_pool_ == nullptr) {
+  if (plan_.offload && plan_.remote_threads > 1 && fleet.pool == nullptr) {
     // Genuine worker pool for the parallel kernels (Figs. 5/6). Timing still
     // comes from the cost model; the pool provides real concurrent execution.
     // With a shared fleet WorkerPool attached, the runtime is a tenant of
@@ -105,19 +102,19 @@ OffloadRuntime::OffloadRuntime(DeploymentPlan plan, Point2D wap_position,
   }
   active_threads_ = plan_.offload ? plan_.remote_threads : 1;
 
-  if (worker_pool_ != nullptr) {
+  if (fleet.pool != nullptr) {
     // Every pool tenant gets the failover policy (even standby-less: the
     // jittered backoff and the breaker still pace a busy/dead primary). The
     // jitter stream must differ per vehicle or 128 bounced tenants retry in
     // lockstep — an unseeded attachment falls back to the vehicle index.
     const uint64_t seed = fleet.backoff_seed != 0
                               ? fleet.backoff_seed
-                              : static_cast<uint64_t>(vehicle_index_ + 2);
-    const std::string label = vehicle_index_ >= 0
-                                  ? "lgv-" + std::to_string(vehicle_index_)
+                              : static_cast<uint64_t>(fleet.vehicle_index + 2);
+    const std::string label = fleet.vehicle_index >= 0
+                                  ? "lgv-" + std::to_string(fleet.vehicle_index)
                                   : plan_.name;
-    failover_ = std::make_unique<PoolFailoverClient>(worker_pool_, standby_pool_,
-                                                     seed, label, fleet.failover);
+    failover_ = std::make_unique<PoolFailoverClient>(fleet.pool, fleet.standby,
+                                                     seed, label);
   }
 
   if (telemetry_config.enabled) {
@@ -325,14 +322,15 @@ platform::ExecutionContext OffloadRuntime::make_context(NodeId id) {
   const bool parallel_kernels =
       id == NodeId::kPathTracking || id == NodeId::kLocalization;
   if (host != platform::Host::kLgv && parallel_kernels && active_threads_ > 1) {
-    if (worker_pool_ != nullptr) {
+    if (failover_ != nullptr) {
       // Shared fleet worker: the kernel's chunks run on the serving pool's
       // real threads; WorkerPool::schedule fair-shares the modeled time. Not
       // admitted right now (busy, backoff window, breaker open, failover
       // snapshot in flight) → serial context; finish_guarded will count the
       // busy fallback.
-      if (ensure_worker_session(clock_.now())) {
-        return platform::ExecutionContext(&active_pool_->threads(), active_threads_);
+      const PoolFailoverClient::Acquire acq = acquire_worker(clock_.now());
+      if (acq.pool != nullptr) {
+        return platform::ExecutionContext(&acq.pool->threads(), active_threads_);
       }
       return platform::ExecutionContext(nullptr, 1);
     }
@@ -343,16 +341,11 @@ platform::ExecutionContext OffloadRuntime::make_context(NodeId id) {
   return platform::ExecutionContext(nullptr, 1);
 }
 
-WorkerPool* OffloadRuntime::pool_at(int index) const {
-  return index == 1 ? standby_pool_ : worker_pool_;
-}
-
 void OffloadRuntime::complete_failover(int target, double now) {
   // The snapshot round-tripped its commit record and has now fully landed:
   // the target pool's host provably holds this vehicle's exact state, so
   // remote execution there is crash-consistent from here on.
   failover_->migration_committed(target);
-  ++pool_failovers_;
   if (snapshot_committed_fn_) snapshot_committed_fn_();
   // Placement and cost-model pricing follow the commit: the standby runs on
   // the edge gateway (nearer than the primary, but slower).
@@ -362,8 +355,6 @@ void OffloadRuntime::complete_failover(int target, double now) {
       place(id, remote_host_);
     }
   }
-  failover_target_ = -1;
-  failover_ready_at_ = -1.0;
   if (vdp_placement_ == VdpPlacement::kLocal) {
     // The crash drove Algorithm 2 local, and the remote makespan it would
     // consult was measured against the dead pool — stale evidence that would
@@ -389,99 +380,82 @@ void OffloadRuntime::complete_failover(int target, double now) {
   }
 }
 
-bool OffloadRuntime::ensure_worker_session(double now) {
-  if (worker_pool_ == nullptr) return false;
-  const PoolFailoverClient::Acquire acq = failover_->acquire(now);
-  if (acq.pool == nullptr) {
-    // "backoff"/"breaker" refusals blame the pool whose failures opened the
-    // window; an "admission" refusal blames the pool that just said no.
-    attempted_pool_ =
-        pool_at(acq.pool_index >= 0 ? acq.pool_index : failover_->active_index());
-    last_refusal_cause_ = acq.blocked;
-    return false;
-  }
-  if (acq.needs_migration) {
+PoolFailoverClient::Acquire OffloadRuntime::acquire_worker(double now) {
+  PoolFailoverClient::Acquire acq = failover_->acquire(now);
+  if (acq.ship_snapshot) {
     // Crash-consistent re-admission (the PR 4 commit discipline, one pool
     // up): before any kernel runs on the new pool, its host must hold a
     // complete, verified state image. The snapshot rides the same chunked
     // CRC+commit transfer as Algorithm 2's migrations, in "failover" mode.
-    if (failover_target_ != acq.pool_index) {
-      const double bytes =
-          snapshot_bytes_fn_ ? snapshot_bytes_fn_() : 16.0 * 1024.0;
-      const MigrationResult mig =
-          switcher_.migrate_state(bytes, /*uplink=*/true, "failover");
-      if (!mig.committed) {
-        // Torn transfer: committed pool and delta base unchanged; the target
-        // takes a breaker failure and the backoff paces the retry.
-        ++failovers_aborted_;
-        failover_->migration_aborted(now);
-        if (telemetry_ != nullptr) {
-          telemetry_->metrics()
-              .counter("pool_failovers_total", {{"outcome", "aborted"}})
-              .inc();
-          telemetry_->tracer().instant_now(
-              "pool.failover_abort", "decisions", "failover",
-              {{"attempts", mig.attempts}});
-        }
-        attempted_pool_ = acq.pool;
-        last_refusal_cause_ = "migrating";
-        return false;
+    const double bytes = snapshot_bytes_fn_ ? snapshot_bytes_fn_() : 16.0 * 1024.0;
+    const MigrationResult mig =
+        switcher_.migrate_state(bytes, /*uplink=*/true, "failover");
+    if (mig.committed) {
+      failover_->snapshot_shipped(mig.completion);
+    } else {
+      // Torn transfer: committed pool and delta base unchanged; the target
+      // takes a breaker failure and the backoff paces the retry.
+      ++failovers_aborted_;
+      failover_->migration_aborted(now);
+      if (telemetry_ != nullptr) {
+        telemetry_->metrics()
+            .counter("pool_failovers_total", {{"outcome", "aborted"}})
+            .inc();
+        telemetry_->tracer().instant_now(
+            "pool.failover_abort", "decisions", "failover",
+            {{"attempts", mig.attempts}});
       }
-      failover_target_ = acq.pool_index;
-      failover_ready_at_ = mig.completion;
     }
-    if (now < failover_ready_at_) {
-      // Transfer still in flight: the vehicle keeps executing locally until
-      // the committed image lands — never remote against a partial set.
-      attempted_pool_ = acq.pool;
-      last_refusal_cause_ = "migrating";
-      return false;
-    }
+    // Either way the vehicle keeps executing locally for now: the committed
+    // image is still on the wire, or there is none.
+    acq.blamed = acq.pool;
+    acq.pool = nullptr;
+    acq.blocked = "migrating";
+  } else if (acq.needs_migration) {
     complete_failover(acq.pool_index, now);
-  } else if (acq.pool_index == failover_->committed_index()) {
-    // Serving the committed pool again (e.g. the primary recovered before
-    // the standby snapshot landed): abandon the stale pending failover so a
-    // later pool loss starts a fresh transfer instead of reusing this one.
-    failover_target_ = -1;
-    failover_ready_at_ = -1.0;
   }
-  active_pool_ = acq.pool;
-  worker_session_ = acq.session;
-  return true;
+  return acq;
 }
 
 void OffloadRuntime::step_failover(double now) {
-  if (worker_pool_ == nullptr) return;
+  if (failover_ == nullptr) return;
   // Only probe when the failure plane is actually in play: a pending
   // snapshot transfer, an open breaker on the committed pool, or a busy
   // streak pacing retries. A healthy, idle runtime skips the acquire so the
   // backoff/lease cadence stays identical to a purely execution-driven run.
-  const bool pending = failover_target_ >= 0;
   const bool committed_down =
       failover_->breaker_open(failover_->committed_index(), now);
-  if (!pending && !committed_down && failover_->busy_streak() == 0) return;
-  (void)ensure_worker_session(now);
+  if (!failover_->snapshot_pending() && !committed_down &&
+      failover_->busy_streak() == 0) {
+    return;
+  }
+  (void)acquire_worker(now);
 }
 
 double OffloadRuntime::finish(NodeId id, platform::ExecutionContext& ctx) {
-  const platform::Host host = host_of(id);
+  return charge_execution(
+      id, host_of(id), ctx, clock_.now(),
+      {{"cycles", ctx.profile().total_cycles()}, {"threads", ctx.threads()}});
+}
+
+double OffloadRuntime::charge_execution(NodeId id, platform::Host host,
+                                        const platform::ExecutionContext& ctx,
+                                        double start, telemetry::TraceArgList args) {
   const platform::CostModel& model = cost_models_.at(host);
   const double t = model.execution_time(ctx.profile());
-  meter_.charge(node_name(id), ctx.profile().total_cycles());
+  const char* node = node_name(id);
+  meter_.charge(node, ctx.profile().total_cycles());
   if (host == platform::Host::kLgv) {
     energy_.add_computer_energy(model.dynamic_energy(ctx.profile()));
   }
   profiler_.record_node_time(id, host, t);
   if (telemetry_ != nullptr) {
-    // Per-node execution lane: the span starts now and runs for the
-    // cost-model execution time; a migration shows as the node's lane
-    // jumping to another host group in the trace.
-    const char* host_lane = platform::host_name(host);
-    const char* node = node_name(id);
+    // Per-node execution lane: the span runs for the cost-model execution
+    // time; a migration or fallback shows as the node's lane jumping to
+    // another host group in the trace.
     telemetry::Tracer& tracer = telemetry_->tracer();
-    const uint32_t span_id = tracer.span(
-        node, host_lane, node, clock_.now(), t,
-        {{"cycles", ctx.profile().total_cycles()}, {"threads", ctx.threads()}});
+    const uint32_t span_id =
+        tracer.span(node, platform::host_name(host), node, start, t, args);
     // Downstream work (the deferred result publish and whatever it causes)
     // parents under this node's execution span.
     if (span_id != 0) {
@@ -514,25 +488,13 @@ OffloadRuntime::ExecutionOutcome OffloadRuntime::busy_fallback(
   // Σ busy_fallback_count over the fleet == Σ busy_fallbacks over the pools
   // (the accounting invariant FleetTest pins).
   if (pool != nullptr) pool->note_busy_fallback();
-  const platform::CostModel& local_model = cost_models_.at(platform::Host::kLgv);
-  const double t_local = local_model.execution_time(ctx.profile());
-  meter_.charge(node_name(id), ctx.profile().total_cycles());
-  energy_.add_computer_energy(local_model.dynamic_energy(ctx.profile()));
-  profiler_.record_node_time(id, platform::Host::kLgv, t_local);
-  const char* node = node_name(id);
   if (telemetry_ != nullptr) {
     auto& m = telemetry_->metrics();
-    m.counter("fallback_total", {{"node", node}}).inc();
+    m.counter("fallback_total", {{"node", node_name(id)}}).inc();
     m.counter("worker_busy_fallback_total", {{"cause", cause}}).inc();
-    const uint32_t fb_span = telemetry_->tracer().span(
-        node, platform::host_name(platform::Host::kLgv), node, clock_.now(), t_local,
-        {{"outcome", "fallback"}, {"cause", cause}});
-    if (fb_span != 0) {
-      telemetry_->tracer().set_current(
-          telemetry::TraceContext{telemetry_->tracer().current().trace_id, fb_span});
-    }
-    record_node_execution(id, platform::Host::kLgv, t_local);
   }
+  const double t_local = charge_execution(id, platform::Host::kLgv, ctx, clock_.now(),
+                                          {{"outcome", "fallback"}, {"cause", cause}});
   // Unlike a lease expiry, the placement is left alone: "busy" is a
   // retryable refusal, so the next execution tries the worker again —
   // overload shows up as a fallback *rate*, not a permanent retreat.
@@ -543,7 +505,7 @@ OffloadRuntime::ExecutionOutcome OffloadRuntime::finish_guarded(
     NodeId id, platform::ExecutionContext& ctx) {
   const platform::Host host = host_of(id);
   if (host == platform::Host::kLgv ||
-      (fault_injector_ == nullptr && worker_pool_ == nullptr)) {
+      (fault_injector_ == nullptr && failover_ == nullptr)) {
     return {finish(id, ctx), false};
   }
 
@@ -558,26 +520,25 @@ OffloadRuntime::ExecutionOutcome OffloadRuntime::finish_guarded(
   double completion = now + t_remote;
   bool crashed = false;
   bool pool_lost = false;
-  if (worker_pool_ != nullptr) {
-    if (!ensure_worker_session(now)) {
-      return busy_fallback(id, ctx, last_refusal_cause_, attempted_pool_);
-    }
+  if (failover_ != nullptr) {
+    const PoolFailoverClient::Acquire acq = acquire_worker(now);
+    if (acq.pool == nullptr) return busy_fallback(id, ctx, acq.blocked, acq.blamed);
     const KernelKind kind = id == NodeId::kLocalization ? KernelKind::kScanMatch
                             : id == NodeId::kPathTracking
                                 ? KernelKind::kScoreTrajectory
                                 : KernelKind::kGeneric;
-    const WorkerVerdict v = active_pool_->execute(worker_session_, kind, now, t_remote,
-                                                  std::max(1, active_threads_));
+    const WorkerVerdict v = acq.pool->execute(acq.session, kind, now, t_remote,
+                                              std::max(1, active_threads_));
     if (v.busy) {
       // Jittered exponential backoff instead of "retry next tick": the
       // refusal opens this vehicle's backoff window and counts toward the
       // serving pool's breaker, so 128 bounced vehicles desynchronize.
       failover_->on_busy(now);
       return busy_fallback(id, ctx, v.busy_cause != nullptr ? v.busy_cause : "worker_busy",
-                           active_pool_);
+                           acq.pool);
     }
     completion = v.completion;
-    if (active_pool_->result_lost_in(now, completion)) {
+    if (acq.pool->result_lost_in(now, completion)) {
       // The pool crashed under the in-flight request: the result died with
       // it. The lease-expiry path below re-executes locally, and the loss
       // counts toward the breaker so the next acquires route to the standby.
@@ -630,43 +591,26 @@ OffloadRuntime::ExecutionOutcome OffloadRuntime::finish_guarded(
   // the LGV. The remote attempt is not profiled (it never completed) and the
   // crash's state loss means the next re-offload pays a full migration.
   ++fallback_count_;
-  const platform::CostModel& local_model = cost_models_.at(platform::Host::kLgv);
-  const double t_local = local_model.execution_time(ctx.profile());
-  meter_.charge(node_name(id), ctx.profile().total_cycles());
-  energy_.add_computer_energy(local_model.dynamic_energy(ctx.profile()));
-  profiler_.record_node_time(id, platform::Host::kLgv, t_local);
-
   const char* node = node_name(id);
+  const char* cause = crashed ? "worker_crash" : pool_lost ? "pool_crash" : "lease_timeout";
   if (telemetry_ != nullptr) {
     auto& m = telemetry_->metrics();
     m.counter("fallback_total", {{"node", node}}).inc();
-    m.counter("lease_expired_total",
-              {{"cause", crashed      ? "worker_crash"
-                         : pool_lost ? "pool_crash"
-                                     : "lease_timeout"}})
-        .inc();
+    m.counter("lease_expired_total", {{"cause", cause}}).inc();
     // The wasted remote wait, then the local re-execution, as spans: the
     // trace shows the node's lane hop back to the LGV group at the fallback.
-    telemetry::Tracer& tracer = telemetry_->tracer();
-    tracer.span(node, platform::host_name(host), node, now, lease,
-                {{"outcome", "lease_expired"}});
-    const uint32_t fb_span = tracer.span(node, platform::host_name(platform::Host::kLgv),
-                                         node, now + lease, t_local,
-                                         {{"outcome", "fallback"}});
-    if (fb_span != 0) {
-      tracer.set_current(telemetry::TraceContext{tracer.current().trace_id, fb_span});
-    }
+    telemetry_->tracer().span(node, platform::host_name(host), node, now, lease,
+                              {{"outcome", "lease_expired"}});
+  }
+  const double t_local = charge_execution(id, platform::Host::kLgv, ctx, now + lease,
+                                          {{"outcome", "fallback"}});
+  if (telemetry_ != nullptr) {
     // First lease expiry of the run snapshots the flight recorder for the
     // post-mortem (repeat triggers are no-ops).
     telemetry_->dump_flight("lease_expiry");
     telemetry_->tracer().instant_now(
         "alg2.fallback", "decisions", "algorithm2",
-        {{"node", node},
-         {"lease_s", lease},
-         {"cause", crashed      ? "worker_crash"
-                   : pool_lost ? "pool_crash"
-                               : "lease_timeout"}});
-    record_node_execution(id, platform::Host::kLgv, t_local);
+        {{"node", node}, {"lease_s", lease}, {"cause", cause}});
   }
 
   // Pull the whole VDP home and pin Algorithm 2 local; its normal
@@ -677,7 +621,7 @@ OffloadRuntime::ExecutionOutcome OffloadRuntime::finish_guarded(
   // pool died — so the placement stays remote and the next executions route
   // through the breaker to the standby (failover), instead of waiting for the
   // bandwidth/direction rule to dare offloading again.
-  if (!(pool_lost && standby_pool_ != nullptr)) {
+  if (!(pool_lost && failover_->pool(1) != nullptr)) {
     network_controller().force(VdpPlacement::kLocal);
     set_vdp_placement(VdpPlacement::kLocal);
   }

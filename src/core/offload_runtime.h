@@ -81,10 +81,9 @@ struct FleetAttachment {
   /// Seed of the vehicle's splitmix64 busy-retry jitter stream. 0 derives a
   /// stream from vehicle_index so even unseeded vehicles never share a retry
   /// schedule; fleets should pass vehicle_seed(fleet_seed, index)-derived
-  /// values for full determinism under reseeding.
+  /// values for full determinism under reseeding. The backoff and breaker
+  /// policy is FailoverConfig's defaults.
   uint64_t backoff_seed = 0;
-  /// Backoff / circuit-breaker policy knobs.
-  FailoverConfig failover;
 };
 
 class OffloadRuntime {
@@ -207,19 +206,17 @@ class OffloadRuntime {
   uint64_t busy_fallback_count() const { return busy_fallback_count_; }
 
   /// The shared fleet worker this runtime is a tenant of (nullptr when it
-  /// owns its compute), and its session there (0 until first admitted).
-  WorkerPool* worker_pool() { return worker_pool_; }
-  SessionId worker_session() const { return worker_session_; }
-  int vehicle_index() const { return vehicle_index_; }
+  /// owns its compute), and its session on the pool serving it now (0 until
+  /// first admitted).
+  WorkerPool* worker_pool() { return failover_ ? failover_->pool(0) : nullptr; }
+  SessionId worker_session() const {
+    return failover_ ? failover_->session(failover_->active_index()) : 0;
+  }
 
   // ---- pool failover (PR 9) ----
-  /// Per-vehicle failover/backoff/breaker policy; nullptr when no shared
-  /// pool is attached.
-  PoolFailoverClient* failover_client() { return failover_.get(); }
-  const PoolFailoverClient* failover_client() const { return failover_.get(); }
   /// Committed pool switches (primary → standby or back) so far. Each one
   /// rode a committed "failover"-mode state migration — never a torn set.
-  uint64_t pool_failovers() const { return pool_failovers_; }
+  uint64_t pool_failovers() const { return failover_ ? failover_->failovers() : 0; }
   /// Failover snapshot transfers that aborted (torn): the committed pool and
   /// the SLAM delta base are unchanged; the vehicle kept running local.
   uint64_t failovers_aborted() const { return failovers_aborted_; }
@@ -239,7 +236,7 @@ class OffloadRuntime {
   /// Advance the pool-failover state machine even while Algorithm 2 runs the
   /// VDP locally. Without this, a crash that pollutes the remote makespan
   /// profile pins the placement local and the standby snapshot — which only
-  /// progresses when a remote execution calls ensure_worker_session — starves
+  /// progresses when a remote execution acquires a worker — starves
   /// forever. Call once per control tick; it is a no-op unless a failover is
   /// pending, the committed pool's breaker is open, or busy verdicts are
   /// accumulating. Refusals here do not count as busy fallbacks (no node ran).
@@ -253,16 +250,23 @@ class OffloadRuntime {
 
  private:
   /// Acquire a serving pool + live session via the failover client (backoff
-  /// window, breakers, primary/standby selection, crash-consistent snapshot
-  /// commit on a pool switch). False = run locally this time; the refusal
-  /// cause is in last_refusal_cause_ and the refusing pool in attempted_pool_.
-  bool ensure_worker_session(double now);
-  /// targets_[idx] of the failover client as a pool pointer.
-  WorkerPool* pool_at(int index) const;
+  /// window, breakers, primary/standby selection). The client decides; this
+  /// ships the failover snapshot it asks for and commits the one that
+  /// landed. A result with pool == nullptr means run locally this time, with
+  /// the refusal's cause and blamed pool in it.
+  PoolFailoverClient::Acquire acquire_worker(double now);
   /// Flip the committed pool to `target` after its failover snapshot landed:
   /// client commit, delta-base advance, remote nodes re-placed onto the new
   /// pool's host, pool_failovers_total + flight-recorder coverage.
   void complete_failover(int target, double now);
+  /// Charge one execution of `id` on `host` starting at `start`: time its
+  /// profile on the host's cost model, charge the work meter, add Eq. 1c
+  /// energy on the LGV, feed the Profiler, and record the node's span (with
+  /// `args`) as the current trace context plus its execution metrics.
+  /// Returns the execution time (s).
+  double charge_execution(NodeId id, platform::Host host,
+                          const platform::ExecutionContext& ctx, double start,
+                          telemetry::TraceArgList args);
   /// The "busy" degradation: run the node locally, count it as a fallback
   /// with `cause` against `pool` (pool_busy_fallback_total accounting), and
   /// leave the placement alone — a busy verdict is a retryable refusal, not
@@ -296,24 +300,11 @@ class OffloadRuntime {
   std::map<NodeId, NodeTraits> traits_;
   /// Private remote pool — only when no shared WorkerPool is attached.
   std::unique_ptr<ThreadPool> remote_pool_;
-  WorkerPool* worker_pool_ = nullptr;  ///< shared fleet worker (not owned)
-  SessionId worker_session_ = 0;
-  int vehicle_index_ = -1;
-  WorkerPool* standby_pool_ = nullptr;  ///< failover target (not owned)
+  /// Tenancy in a shared fleet WorkerPool (primary + optional standby, not
+  /// owned); nullptr when the runtime owns its compute.
   std::unique_ptr<PoolFailoverClient> failover_;
-  /// Pool the last successful ensure_worker_session() selected (primary or
-  /// standby); the one make_context attaches and finish_guarded executes on.
-  WorkerPool* active_pool_ = nullptr;
-  /// Pool blamed for the last refusal (note_busy_fallback accounting) and why.
-  WorkerPool* attempted_pool_ = nullptr;
-  const char* last_refusal_cause_ = "admission";
-  /// In-flight failover snapshot: target pool index and the virtual time the
-  /// committed transfer lands (execution stays local until then). -1 = none.
-  int failover_target_ = -1;
-  double failover_ready_at_ = -1.0;
   std::function<double()> snapshot_bytes_fn_;
   std::function<void()> snapshot_committed_fn_;
-  uint64_t pool_failovers_ = 0;
   uint64_t failovers_aborted_ = 0;
   /// Host serving remote nodes now (standby's host after failover).
   platform::Host remote_host_ = platform::Host::kEdgeGateway;

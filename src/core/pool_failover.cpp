@@ -52,6 +52,7 @@ PoolFailoverClient::Acquire PoolFailoverClient::acquire(double now) {
   Acquire a;
   if (now < retry_at_) {
     a.blocked = "backoff";
+    a.blamed = targets_[active_].pool;
     return a;
   }
   bool any_pool = false;
@@ -76,6 +77,7 @@ PoolFailoverClient::Acquire PoolFailoverClient::acquire(double now) {
         bump_backoff(now);
         a.blocked = "admission";
         a.pool_index = idx;
+        a.blamed = t.pool;
         return a;
       }
     }
@@ -84,10 +86,28 @@ PoolFailoverClient::Acquire PoolFailoverClient::acquire(double now) {
     a.session = t.session;
     a.pool_index = idx;
     a.needs_migration = idx != committed_;
+    if (!a.needs_migration) {
+      // Serving the committed pool again (e.g. the primary recovered before
+      // the standby snapshot landed): abandon the stale pending snapshot.
+      snapshot_target_ = -1;
+    } else if (snapshot_target_ != idx) {
+      a.ship_snapshot = true;
+    } else if (now < snapshot_ready_at_) {
+      // Transfer still in flight: never remote against a partial set.
+      a.pool = nullptr;
+      a.blocked = "migrating";
+      a.blamed = t.pool;
+    }
     return a;
   }
   a.blocked = any_pool ? "breaker" : "admission";
+  a.blamed = targets_[active_].pool;
   return a;
+}
+
+void PoolFailoverClient::snapshot_shipped(double ready_at) {
+  snapshot_target_ = active_;
+  snapshot_ready_at_ = ready_at;
 }
 
 void PoolFailoverClient::on_busy(double now) {
@@ -111,6 +131,7 @@ void PoolFailoverClient::on_pool_loss(double now) {
 void PoolFailoverClient::migration_committed(int pool_index) {
   if (pool_index != committed_) ++failovers_;
   committed_ = pool_index;
+  snapshot_target_ = -1;
 }
 
 void PoolFailoverClient::migration_aborted(double now) {

@@ -12,7 +12,9 @@
 // The client is pure policy over virtual time: it owns no threads and no
 // clock, so OffloadRuntime drives it from finish_guarded and the fleet
 // benches drive it directly from their tick loops — same behavior, bit-for-
-// bit, in both places.
+// bit, in both places. It is the one owner of the vehicle's pool tenancy
+// (both targets, their sessions, the active and committed pool) and of the
+// in-flight failover snapshot; the caller only ships the snapshot bytes.
 #pragma once
 
 #include <cstdint>
@@ -64,10 +66,21 @@ class PoolFailoverClient {
     /// (then migration_committed()) before executing remotely — a torn or
     /// missing snapshot never runs.
     bool needs_migration = false;
+    /// needs_migration and no snapshot is in flight to this pool: ship one
+    /// now, report it with snapshot_shipped() (or migration_aborted() when
+    /// the transfer tore), and run locally this time — the snapshot is still
+    /// on the wire. With needs_migration and no ship_snapshot, the snapshot
+    /// in flight has landed and the caller commits it.
+    bool ship_snapshot = false;
     /// Refusal cause when pool == nullptr: "backoff" (jittered retry window
-    /// still open), "breaker" (every configured pool's breaker is open) or
-    /// "admission" (the chosen pool refused the session).
+    /// still open), "breaker" (every configured pool's breaker is open),
+    /// "admission" (the chosen pool refused the session) or "migrating" (the
+    /// failover snapshot to the chosen pool has not landed yet).
     const char* blocked = nullptr;
+    /// With a refusal: the pool it counts against — the one that refused
+    /// admission or awaits the snapshot, else the active pool whose failures
+    /// opened the backoff window or the breaker.
+    WorkerPool* blamed = nullptr;
   };
 
   /// Pick the pool to use at `now`: primary preferred, open breakers
@@ -75,8 +88,16 @@ class PoolFailoverClient {
   /// the winner (re-admitting with a fresh session id after any eviction).
   /// An admission refusal counts against that pool's breaker and bumps the
   /// backoff, so a dead pool is probed at the jittered-exponential cadence
-  /// — never once per tick.
+  /// — never once per tick. Serving the committed pool again drops a
+  /// pending failover snapshot, so a later pool loss ships a fresh one.
   Acquire acquire(double now);
+
+  /// The snapshot acquire() asked for is on the wire to the active pool and
+  /// lands at `ready_at`; until then acquire() refuses that pool with
+  /// "migrating".
+  void snapshot_shipped(double ready_at);
+  /// A failover snapshot has been shipped and neither committed nor dropped.
+  bool snapshot_pending() const { return snapshot_target_ >= 0; }
 
   /// A busy verdict from the pool acquire() returned: counts toward its
   /// breaker and opens the next backoff window.
@@ -89,7 +110,7 @@ class PoolFailoverClient {
   void on_pool_loss(double now);
 
   /// The failover snapshot committed on pool `pool_index`; remote execution
-  /// there is crash-consistent from now on.
+  /// there is crash-consistent from now on, and no snapshot is pending.
   void migration_committed(int pool_index);
   /// The failover snapshot aborted (torn transfer): the target pool takes a
   /// breaker failure, the backoff window opens, and the committed pool is
@@ -107,6 +128,8 @@ class PoolFailoverClient {
   double retry_at() const { return retry_at_; }
   uint32_t busy_streak() const { return busy_streak_; }
   SessionId session(int pool_index) const;
+  /// targets' pools: 0 = primary, 1 = standby (nullptr when none).
+  WorkerPool* pool(int pool_index) const { return targets_[pool_index].pool; }
   const FailoverConfig& config() const { return config_; }
 
  private:
@@ -135,6 +158,10 @@ class PoolFailoverClient {
   double retry_at_ = 0.0;
   uint64_t failovers_ = 0;
   uint64_t breaker_opens_ = 0;
+  /// In-flight failover snapshot: its target pool (-1 = none) and the
+  /// virtual time it lands.
+  int snapshot_target_ = -1;
+  double snapshot_ready_at_ = 0.0;
 };
 
 }  // namespace lgv::core

@@ -71,7 +71,7 @@ Admission WorkerPool::open_session(const std::string& vehicle, double now,
                                    int weight) {
   step(now);
   if (draining_ || crashed(now) || sessions_.size() >= config_.max_sessions ||
-      occupancy(now) > config_.admit_occupancy_max) {
+      occupancy(now) > kAdmitOccupancyMax) {
     ++admission_rejects_;
     if (admission_rejects_total_ != nullptr) admission_rejects_total_->inc();
     return {0, true};
@@ -80,8 +80,8 @@ Admission WorkerPool::open_session(const std::string& vehicle, double now,
   Session& s = sessions_[id];
   s.label = vehicle.empty() ? "session-" + std::to_string(id) : vehicle;
   s.weight = static_cast<uint64_t>(
-      std::max(1, weight > 0 ? weight : config_.default_weight));
-  s.lease_expiry = now + config_.session_lease_s;
+      std::max(1, weight > 0 ? weight : kDefaultSessionWeight));
+  s.lease_expiry = now + kSessionLeaseS;
   if (sessions_gauge_ != nullptr) {
     sessions_gauge_->set(static_cast<double>(sessions_.size()));
   }
@@ -98,7 +98,7 @@ bool WorkerPool::renew(SessionId id, double now) {
     if (evictions_total_ != nullptr) evictions_total_->inc();
     return false;
   }
-  it->second.lease_expiry = now + config_.session_lease_s;
+  it->second.lease_expiry = now + kSessionLeaseS;
   return true;
 }
 
@@ -156,7 +156,7 @@ WorkerPool::Session* WorkerPool::find_session(SessionId id, double now) {
   if (it == sessions_.end()) return nullptr;
   // Traffic renews the lease — an actively offloading vehicle never expires.
   it->second.lease_expiry = std::max(it->second.lease_expiry,
-                                     now + config_.session_lease_s);
+                                     now + kSessionLeaseS);
   return &it->second;
 }
 

@@ -50,23 +50,25 @@ using SessionId = uint32_t;  ///< 0 = no session
 enum class KernelKind : uint8_t { kScanMatch = 0, kScoreTrajectory = 1, kGeneric = 2 };
 const char* kernel_kind_name(KernelKind kind);
 
+/// Session lease (s): admission grants it, traffic renews it, silence past
+/// it evicts — the remote-execution lease protocol reused as the
+/// admission/eviction primitive.
+inline constexpr double kSessionLeaseS = 2.0;
+/// New sessions are bounced while modeled occupancy exceeds this.
+inline constexpr double kAdmitOccupancyMax = 0.97;
+/// Fair-share weight of a session opened without one.
+inline constexpr int kDefaultSessionWeight = 1;
+
 struct WorkerPoolConfig {
   int cores = 4;           ///< virtual worker cores (modeled service capacity)
   int threads = 0;         ///< real pool threads; 0 = same as cores
   size_t max_sessions = 512;
-  /// Session lease (s): admission grants it, traffic renews it, silence past
-  /// it evicts — the PR 3 lease protocol reused as the admission/eviction
-  /// primitive.
-  double session_lease_s = 2.0;
   /// Per-session outstanding-request bound: submit answers "busy" once this
   /// many requests are queued or in flight for one session.
   size_t max_session_queue = 8;
   /// Predicted wait for cores above this → "busy" (retryable; the vehicle
   /// runs the kernel locally this tick instead of queueing behind the fleet).
   double busy_wait_s = 0.75;
-  /// New sessions are bounced while modeled occupancy exceeds this.
-  double admit_occupancy_max = 0.97;
-  int default_weight = 1;
   /// Host lane for the per-request trace spans ("cloud_server" /
   /// "edge_gateway") so the critical-path analyzer buckets pool time as
   /// remote compute.
@@ -108,7 +110,7 @@ class WorkerPool {
 
   // ---- session table -------------------------------------------------------
   /// Admit `vehicle` (a label for telemetry) with a fresh lease. `weight`
-  /// <= 0 uses config().default_weight; higher weights get a proportionally
+  /// <= 0 uses kDefaultSessionWeight; higher weights get a proportionally
   /// larger share of the cores under contention (priority).
   Admission open_session(const std::string& vehicle, double now, int weight = 0);
   /// Extend the lease. False when the session is unknown or already expired

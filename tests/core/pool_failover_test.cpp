@@ -230,6 +230,63 @@ TEST(PoolFailoverClient, AbortedMigrationNeverAdvancesCommittedPool) {
   EXPECT_GT(client.retry_at(), before_retry);
 }
 
+TEST(PoolFailoverClient, OwnsTheInFlightFailoverSnapshot) {
+  // Busy verdicts open a breaker (threshold 1) on whichever pool is active,
+  // so the test steers the selection without a fault schedule.
+  WorkerPool primary(tiny_pool());
+  WorkerPool standby(tiny_pool());
+  FailoverConfig cfg;
+  cfg.breaker_threshold = 1;
+  PoolFailoverClient client(&primary, &standby, 42, "lgv-0", cfg);
+  ASSERT_EQ(client.acquire(0.0).pool, &primary);
+  client.on_busy(0.0);  // primary's breaker open until 1.0
+
+  // A started snapshot is refused until it lands, then commits.
+  auto acq = client.acquire(0.1);
+  ASSERT_EQ(acq.pool, &standby);
+  ASSERT_TRUE(acq.ship_snapshot);
+  client.snapshot_shipped(0.35);
+  EXPECT_TRUE(client.snapshot_pending());
+  acq = client.acquire(0.2);
+  EXPECT_EQ(acq.pool, nullptr);
+  EXPECT_STREQ(acq.blocked, "migrating");
+  EXPECT_EQ(acq.blamed, &standby);
+  EXPECT_EQ(client.committed_index(), 0);
+  acq = client.acquire(0.35);
+  ASSERT_EQ(acq.pool, &standby);
+  EXPECT_TRUE(acq.needs_migration);
+  EXPECT_FALSE(acq.ship_snapshot);
+  client.migration_committed(1);
+  client.on_served();
+  EXPECT_FALSE(client.snapshot_pending());
+  EXPECT_EQ(client.committed_index(), 1);
+  EXPECT_EQ(client.failovers(), 1u);
+
+  // Serving the committed pool drops a pending snapshot: the failback
+  // snapshot shipped at 1.1 would have landed by 3.2, but the standby served
+  // in between, so the next switch ships afresh instead of committing on the
+  // stale landing time.
+  acq = client.acquire(1.1);
+  ASSERT_EQ(acq.pool, &primary);
+  ASSERT_TRUE(acq.ship_snapshot);
+  client.snapshot_shipped(1.35);
+  client.on_busy(1.1);  // primary's breaker open until 3.1
+  acq = client.acquire(1.2);
+  ASSERT_EQ(acq.pool, &standby);
+  EXPECT_FALSE(acq.needs_migration);
+  EXPECT_FALSE(client.snapshot_pending());
+  acq = client.acquire(3.2);
+  ASSERT_EQ(acq.pool, &primary);
+  EXPECT_TRUE(acq.ship_snapshot);
+
+  // An abort leaves the committed pool unchanged.
+  client.migration_aborted(3.2);
+  EXPECT_FALSE(client.snapshot_pending());
+  EXPECT_EQ(client.committed_index(), 1);
+  EXPECT_EQ(client.failovers(), 1u);
+  EXPECT_TRUE(client.breaker_open(0, 3.2));
+}
+
 TEST(PoolFailoverClient, DeterministicAcrossIdenticalRuns) {
   // Same seeds, same fault schedule, same call sequence → identical retry
   // schedule and identical pool selection (the fleet replay contract).

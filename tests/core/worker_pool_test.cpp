@@ -26,7 +26,7 @@ TEST(WorkerPool, AdmitsRenewsAndEvictsSessions) {
   // Traffic inside the lease renews it.
   EXPECT_TRUE(pool.renew(a.session, 1.0));
   // Silence past the lease evicts.
-  EXPECT_EQ(pool.evict_expired(1.0 + pool.config().session_lease_s + 0.1), 1u);
+  EXPECT_EQ(pool.evict_expired(1.0 + kSessionLeaseS + 0.1), 1u);
   EXPECT_FALSE(pool.has_session(a.session));
   EXPECT_EQ(pool.evictions(), 1u);
 
@@ -39,7 +39,7 @@ TEST(WorkerPool, AdmitsRenewsAndEvictsSessions) {
 TEST(WorkerPool, RenewAfterExpiryFailsAndEvicts) {
   WorkerPool pool(small_pool());
   const Admission a = pool.open_session("lgv-0", 0.0);
-  EXPECT_FALSE(pool.renew(a.session, pool.config().session_lease_s + 1.0));
+  EXPECT_FALSE(pool.renew(a.session, kSessionLeaseS + 1.0));
   EXPECT_FALSE(pool.has_session(a.session));
 }
 
@@ -340,7 +340,7 @@ TEST(WorkerPool, PartitionBouncesDeterministicSubsetWithoutRenewingLeases) {
     // Partitioned traffic must NOT renew the lease (the vehicle is
     // unreachable from the pool's point of view) — silence evicts it on
     // schedule while the served sessions, renewed at t=11, survive.
-    const double expiry = 9.5 + pool.config().session_lease_s + 0.1;
+    const double expiry = 9.5 + kSessionLeaseS + 0.1;
     for (uint32_t id : *bounced) {
       pool.evict_expired(expiry);
       EXPECT_FALSE(pool.has_session(id));
